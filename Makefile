@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: tier1 tier2 bench bench-mc race vet obs sparse lifecycle batch shard shardcrash trace tape
+.PHONY: tier1 tier2 bench bench-mc race vet obs sparse lifecycle batch shard shardcrash trace perfbench
 
 # Tier 1: the build + vet + test gate every change must keep green
 # (ROADMAP.md).
-tier1: vet obs sparse lifecycle batch shard shardcrash trace tape
+tier1: vet obs sparse lifecycle batch shard shardcrash trace perfbench
 	$(GO) build ./... && $(GO) test ./...
 
 # Static analysis alone (also the first rung of tier1).
@@ -82,16 +82,11 @@ trace:
 	$(GO) test -count=1 -run 'TestTracingDisabledArmedStepAllocFree|TestScopeForwardsSolverSpans' ./internal/spice/
 	$(GO) test -count=1 -run 'TestPrometheusGolden|TestHelpSurvives' ./internal/obs/
 
-# Compiled op-tape rung: the exact interpreter's bit-identity against the
-# scalar closed-form path (single evals, SoA batches, and full circuit MC),
-# the fastmath kernels' ULP budgets, tape-fast self-reproducibility across
-# worker counts and shard transports, kernel selection/binding, and the
-# zero-allocation guard on the tape evaluation hot path — under the race
-# detector where the lockstep engine shares per-worker tape slabs.
-tape:
-	$(GO) test -race ./internal/vsmodel/ -run 'TestTape|TestFastMath|TestKernel' -count=1
-	$(GO) test -race -count=1 -run 'TestTapeFastMCDeterminism|TestTapeExactMCMatchesDirect' ./internal/experiments/
-	$(GO) test -count=1 -run 'TestTapeZeroAlloc' ./internal/vsmodel/
+# Benchmark-module rung: vet and build the standalone perfbench module, so
+# a change to a public name it drives fails here rather than first in the
+# benchmark pipeline.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) build ./...
 
 # Tier 2: the race detector over the full tree, including the pooled
 # parallel Monte Carlo engine.

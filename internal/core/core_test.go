@@ -10,6 +10,7 @@ import (
 	"vstat/internal/montecarlo"
 	"vstat/internal/stats"
 	"vstat/internal/variation"
+	"vstat/internal/vsmodel"
 )
 
 func TestNominalFactoryIsDeterministic(t *testing.T) {
@@ -23,6 +24,10 @@ func TestNominalFactoryIsDeterministic(t *testing.T) {
 	if d1.Width() != 600e-9 || d1.Length() != 40e-9 {
 		t.Fatal("geometry not applied")
 	}
+	// Bare VS cards are what the lockstep engine binds natively.
+	if _, ok := d1.(*vsmodel.Params); !ok {
+		t.Fatalf("nominal instance is %T, want *vsmodel.Params", d1)
+	}
 }
 
 func TestStatisticalFactoryVariesPerDevice(t *testing.T) {
@@ -35,6 +40,9 @@ func TestStatisticalFactoryVariesPerDevice(t *testing.T) {
 	d2 := f(device.NMOS, 600e-9, 40e-9)
 	if d1.Eval(0.9, 0.9, 0, 0).Id == d2.Eval(0.9, 0.9, 0, 0).Id {
 		t.Fatal("two instances from the same factory must be independently mismatched")
+	}
+	if _, ok := d1.(*vsmodel.Params); !ok {
+		t.Fatalf("statistical instance is %T, want *vsmodel.Params", d1)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -63,7 +64,7 @@ func TestFaultInjectedMCIsolation(t *testing.T) {
 		return op.V(b.Out), nil
 	}
 
-	clean, cleanRep, err := montecarlo.MapPooledReport(n, seed, 1, montecarlo.Policy{}, newBench, opSample)
+	clean, cleanRep, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, 1, montecarlo.RunOpts{}, newBench, opSample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +73,8 @@ func TestFaultInjectedMCIsolation(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		got, rep, err := montecarlo.MapPooledReport(n, seed, workers,
-			montecarlo.SkipUpTo(0.01), newBench, faultSample)
+		got, rep, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, workers,
+			montecarlo.RunOpts{Policy: montecarlo.SkipUpTo(0.01)}, newBench, faultSample)
 		if err != nil {
 			t.Fatalf("workers=%d: injected fault aborted the run: %v", workers, err)
 		}
@@ -108,7 +109,7 @@ func TestFailFastAbortsOnInjectedFault(t *testing.T) {
 	const n = 60
 	const faultIdx = 11
 	sz := poolTestSizing()
-	_, rep, err := montecarlo.MapPooledReport(n, 5, 2, montecarlo.Policy{},
+	_, rep, err := montecarlo.MapPooledReportCtx(context.Background(), n, 5, 2, montecarlo.RunOpts{},
 		func(int) (*circuits.PooledGate, error) {
 			return circuits.NewPooledInverterFO(3, poolTestVdd, sz, m.Nominal(), false)
 		},
@@ -161,7 +162,7 @@ func TestFailedSampleLeavesTemplateRestampable(t *testing.T) {
 		}
 		return measure.PairDelay(res, b.In, b.Out, poolTestVdd)
 	}
-	clean, _, err := montecarlo.MapPooledReport(n, seed, 1, montecarlo.Policy{}, newBench, delaySample)
+	clean, _, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, 1, montecarlo.RunOpts{}, newBench, delaySample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +184,8 @@ func TestFailedSampleLeavesTemplateRestampable(t *testing.T) {
 		}
 		return measure.PairDelay(res, b.In, b.Out, poolTestVdd)
 	}
-	got, rep, err := montecarlo.MapPooledReport(n, seed, 1,
-		montecarlo.Policy{OnFailure: montecarlo.SkipAndRecord}, newBench, faultSample)
+	got, rep, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, 1,
+		montecarlo.RunOpts{Policy: montecarlo.Policy{OnFailure: montecarlo.SkipAndRecord}}, newBench, faultSample)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"maps"
 	"math/rand"
@@ -163,10 +164,12 @@ func TestMCRescueCountersMatchReportExactly(t *testing.T) {
 	}
 
 	var firstRescued map[string]int64
+	var firstEvals int64
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
 		mi := NewMCInstr(reg)
-		_, rep, err := montecarlo.MapPooledReport(n, seed, workers, montecarlo.SkipUpTo(0.05),
+		_, rep, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, workers,
+			montecarlo.RunOpts{Policy: montecarlo.SkipUpTo(0.05)},
 			newObsState(mi, newBench),
 			func(st obsState[*circuits.PooledGate], idx int, rng *rand.Rand) (float64, error) {
 				b, so := st.B, st.So
@@ -207,6 +210,17 @@ func TestMCRescueCountersMatchReportExactly(t *testing.T) {
 			firstRescued = rep.Rescued
 		} else if !maps.Equal(firstRescued, rep.Rescued) {
 			t.Fatalf("rescue counts vary with worker count: %v vs %v", firstRescued, rep.Rescued)
+		}
+		// The benchmark reads the model-evaluation total under this
+		// exported name; it must be live and worker-invariant.
+		evals := reg.Snapshot().FindCounter("model_evals_total_direct")
+		if evals <= 0 {
+			t.Fatalf("workers=%d: model_evals_total_direct = %d, want > 0", workers, evals)
+		}
+		if firstEvals == 0 {
+			firstEvals = evals
+		} else if evals != firstEvals {
+			t.Fatalf("model evaluations vary with worker count: %d vs %d", firstEvals, evals)
 		}
 	}
 }

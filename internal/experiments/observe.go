@@ -52,10 +52,6 @@ type MCInstr struct {
 	// Progress, when set, is fed the per-sample rescue tallies (the
 	// run-level ticks come from montecarlo.SetProgress).
 	Progress *obs.Progress
-	// Kernel, when set to a vsmodel kernel name ("direct", "tape",
-	// "tape-fast"), pre-routes every new worker's model-evaluation deltas
-	// to that kernel's counter; workers may override via SetKernel.
-	Kernel string
 
 	newtonIters  obs.HistID
 	jacRefreshes obs.HistID
@@ -66,17 +62,12 @@ type MCInstr struct {
 
 	batchEvicted   obs.CounterID
 	batchOccupancy obs.GaugeID
-
-	// Per-kernel model-evaluation totals, in modelKernels order; a worker's
-	// SampleObs routes its ModelEvals deltas to the counter selected by
-	// SetKernel (direct when never set).
-	modelEvalIDs [3]obs.CounterID
+	modelEvals     obs.CounterID
 }
 
-// modelKernels mirrors the vsmodel.Kernel backend names; counter i is
-// "model_evals_total_<kernel>" (with "-" mangled to "_" for scrape
-// friendliness).
-var modelKernels = [3]string{"direct", "tape", "tape_fast"}
+// modelEvalsName is the model-evaluation counter. It keeps its "_direct"
+// suffix because the benchmark and existing scrapes read it by this name.
+const modelEvalsName = "model_evals_total_direct"
 
 // NewtonIterBounds is the bucket layout for per-sample Newton iteration
 // counts (geometric, 8 to ~3·10^5).
@@ -95,9 +86,7 @@ func NewMCInstr(reg *obs.Registry) *MCInstr {
 	}
 	mi.batchEvicted = reg.Counter("mc_batch_lanes_evicted_total")
 	mi.batchOccupancy = reg.Gauge("mc_batch_lane_occupancy_pct")
-	for i, k := range modelKernels {
-		mi.modelEvalIDs[i] = reg.Counter("model_evals_total_" + k)
-	}
+	mi.modelEvals = reg.Counter(modelEvalsName)
 	reg.SetHelp("mc_newton_iters", "Newton iterations per Monte Carlo sample.")
 	reg.SetHelp("mc_jac_refreshes", "Jacobian factorizations per Monte Carlo sample.")
 	reg.SetHelp("mc_samples_total", "Monte Carlo samples completed.")
@@ -108,10 +97,8 @@ func NewMCInstr(reg *obs.Registry) *MCInstr {
 	}
 	reg.SetHelp("mc_batch_lanes_evicted_total", "Lanes evicted from the K-lane lockstep path to the scalar engine.")
 	reg.SetHelp("mc_batch_lane_occupancy_pct", "Average filled-lane occupancy of the batched engine, in percent.")
-	for _, k := range modelKernels {
-		reg.SetHelp("model_evals_total_"+k,
-			"MOSFET compact-model evaluations through the "+k+" kernel (scalar calls and batched SoA lanes alike).")
-	}
+	reg.SetHelp(modelEvalsName,
+		"MOSFET compact-model evaluations (scalar calls and batched SoA lanes alike).")
 	return mi
 }
 
@@ -139,9 +126,7 @@ func (mi *MCInstr) NewWorker() *SampleObs {
 		return nil
 	}
 	sc.SetEvents(mi.Sink)
-	so := &SampleObs{mi: mi, sc: sc}
-	so.SetKernel(mi.Kernel)
-	return so
+	return &SampleObs{mi: mi, sc: sc}
 }
 
 // RecordRunLifecycle flushes a finished run's lifecycle outcomes into the
@@ -186,27 +171,9 @@ func RescuedCounters(snap obs.Snapshot) map[string]int64 {
 // aggregates, making registry counters and the run report agree for any
 // worker count. Not safe for concurrent use (one worker goroutine each).
 type SampleObs struct {
-	mi     *MCInstr
-	sc     *obs.Scope
-	prev   spice.SolverStats
-	kernel int // index into modelKernels (0 = direct)
-}
-
-// SetKernel routes this worker's model-evaluation deltas to the named
-// kernel's counter ("direct", "tape" or "tape-fast"/"tape_fast"); unknown
-// names keep the current attribution. Nil-safe.
-func (so *SampleObs) SetKernel(name string) {
-	if so == nil {
-		return
-	}
-	switch name {
-	case "direct":
-		so.kernel = 0
-	case "tape":
-		so.kernel = 1
-	case "tape-fast", "tape_fast":
-		so.kernel = 2
-	}
+	mi   *MCInstr
+	sc   *obs.Scope
+	prev spice.SolverStats
 }
 
 // Scope returns the worker's phase-timing scope (nil on a nil handle).
@@ -246,7 +213,7 @@ func (so *SampleObs) End(st spice.SolverStats) {
 	sh.Observe(mi.jacRefreshes, st.JacRefreshes-so.prev.JacRefreshes)
 	sh.Add(mi.samples, 1)
 	if d := st.ModelEvals - so.prev.ModelEvals; d != 0 {
-		sh.Add(mi.modelEvalIDs[so.kernel], d)
+		sh.Add(mi.modelEvals, d)
 	}
 	var rescued int64
 	for i, d := range rescueDeltas(st, so.prev) {
@@ -274,7 +241,7 @@ func (so *SampleObs) EndBatch(lanes int, st spice.SolverStats) {
 	sh.Observe(mi.jacRefreshes, st.JacRefreshes-so.prev.JacRefreshes)
 	sh.Add(mi.samples, int64(lanes))
 	if d := st.ModelEvals - so.prev.ModelEvals; d != 0 {
-		sh.Add(mi.modelEvalIDs[so.kernel], d)
+		sh.Add(mi.modelEvals, d)
 	}
 	var rescued int64
 	for i, d := range rescueDeltas(st, so.prev) {
@@ -332,7 +299,7 @@ func (s obsState[B]) SolverWork() (iters, rescues int64) {
 	return 0, 0
 }
 
-// newObsState wraps a bench builder into a MapPooledReport newState that
+// newObsState wraps a bench builder into a MapPooledReportCtx newState that
 // attaches per-worker instrumentation when mi is live.
 func newObsState[B obsBench](mi *MCInstr, build func() (B, error)) func(int) (obsState[B], error) {
 	return func(int) (obsState[B], error) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -86,7 +87,7 @@ func TestPooledSNMBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
-		got, err := montecarlo.MapPooled(n, seed, workers,
+		got, _, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, workers, montecarlo.RunOpts{},
 			func(int) (*circuits.PooledSRAM, error) {
 				return circuits.NewPooledSRAM(poolTestVdd, circuits.DefaultSRAMSizing(),
 					m.Nominal(), butterflyPoints, false), nil
@@ -119,7 +120,7 @@ func TestPooledSetupTimeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := montecarlo.MapPooled(n, seed, 2,
+	got, _, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, 2, montecarlo.RunOpts{},
 		func(int) (*circuits.PooledDFF, error) {
 			return circuits.NewPooledDFF(poolTestVdd, circuits.DefaultDFFSizing(), m.Nominal(), false), nil
 		},

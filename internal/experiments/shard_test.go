@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -13,64 +14,81 @@ import (
 	"vstat/internal/shard"
 )
 
-// TestShardedRunMatchesLocal routes a real INV FO3 delay MC through the
-// shard coordinator (Config.ShardSize) and checks the merged results are
-// bit-identical to the plain pooled run — values, failure count, report —
-// and that the shard counters land in the obs registry.
+// TestShardedRunMatchesLocal pins the Monte Carlo determinism contract on
+// a real INV FO3 delay MC: pooled runs at any worker count and runs routed
+// through the shard coordinator (Config.ShardSize, shard widths that do not
+// divide n, several endpoint counts) are bit-identical to the one-worker
+// pooled run — values, failure count, report — and a sharded run's counters
+// land in the obs registry.
 func TestShardedRunMatchesLocal(t *testing.T) {
 	m := core.DefaultStatVS()
 	const n = 24
 	const seed = int64(777)
 
 	ref, refRep, err := runPooledMC[*circuits.PooledGate, float64](
-		Config{Workers: 2, Policy: montecarlo.SkipUpTo(1.0)},
+		Config{Workers: 1, Policy: montecarlo.SkipUpTo(1.0)},
 		"shard-ref", n, seed, invBench(m), invDelay(m))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	reg := obs.NewRegistry()
-	sm := shard.NewMetrics(reg)
-	cfg := Config{
-		Workers:        2,
-		Policy:         montecarlo.SkipUpTo(1.0),
-		ShardSize:      7, // deliberately not a divisor of 24
-		ShardEndpoints: 2,
-		shardMetrics:   sm,
-	}
-	got, gotRep, err := runPooledMC[*circuits.PooledGate, float64](
-		cfg, "shard-run", n, seed, invBench(m), invDelay(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ref) {
-		t.Fatalf("sharded run produced %d samples, local %d", len(got), len(ref))
-	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("sample %d: sharded %.17g, local %.17g", i, got[i], ref[i])
-		}
-	}
-	if gotRep.Attempted != refRep.Attempted || gotRep.Failed != refRep.Failed {
-		t.Fatalf("sharded report %s, local %s", gotRep.String(), refRep.String())
-	}
-	for k, v := range refRep.Rescued {
-		if gotRep.Rescued[k] != v {
-			t.Fatalf("rescued[%s] = %d sharded, %d local", k, gotRep.Rescued[k], v)
-		}
-	}
-	var dispatched, committed int64
-	for _, c := range reg.Snapshot().Counters {
-		switch c.Name {
-		case "shard_dispatched_total":
-			dispatched = c.Value
-		case "shard_committed_total":
-			committed = c.Value
-		}
-	}
-	wantShards := int64((n + cfg.ShardSize - 1) / cfg.ShardSize)
-	if committed != wantShards || dispatched < wantShards {
-		t.Fatalf("shard counters: dispatched=%d committed=%d, want %d shards", dispatched, committed, wantShards)
+	for _, tc := range []struct {
+		name                       string
+		workers, shardSize, shardN int
+	}{
+		{"local/workers=2", 2, 0, 0},
+		{"local/workers=4", 4, 0, 0},
+		{"sharded/7x2", 2, 7, 2}, // 7 deliberately not a divisor of 24
+		{"sharded/7x3", 2, 7, 3},
+		{"sharded/5x2", 2, 5, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cfg := Config{
+				Workers:        tc.workers,
+				Policy:         montecarlo.SkipUpTo(1.0),
+				ShardSize:      tc.shardSize,
+				ShardEndpoints: tc.shardN,
+				shardMetrics:   shard.NewMetrics(reg),
+			}
+			got, gotRep, err := runPooledMC[*circuits.PooledGate, float64](
+				cfg, "shard-run", n, seed, invBench(m), invDelay(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(ref) {
+				t.Fatalf("run produced %d samples, reference %d", len(got), len(ref))
+			}
+			for i := range ref {
+				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("sample %d: %.17g, reference %.17g", i, got[i], ref[i])
+				}
+			}
+			if gotRep.Attempted != refRep.Attempted || gotRep.Failed != refRep.Failed {
+				t.Fatalf("report %s, reference %s", gotRep.String(), refRep.String())
+			}
+			for k, v := range refRep.Rescued {
+				if gotRep.Rescued[k] != v {
+					t.Fatalf("rescued[%s] = %d, reference %d", k, gotRep.Rescued[k], v)
+				}
+			}
+			if tc.shardSize == 0 {
+				return
+			}
+			var dispatched, committed int64
+			for _, c := range reg.Snapshot().Counters {
+				switch c.Name {
+				case "shard_dispatched_total":
+					dispatched = c.Value
+				case "shard_committed_total":
+					committed = c.Value
+				}
+			}
+			wantShards := int64((n + tc.shardSize - 1) / tc.shardSize)
+			if committed != wantShards || dispatched < wantShards {
+				t.Fatalf("shard counters: dispatched=%d committed=%d, want %d shards", dispatched, committed, wantShards)
+			}
+		})
 	}
 }
 

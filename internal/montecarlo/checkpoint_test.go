@@ -66,22 +66,32 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointConfigHashRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.ckpt.json")
-	ck, err := OpenCheckpoint[float64](path, ConfigHash(int64(1)), 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck.Record(0, 1.0, nil, nil)
-	if err := ck.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCheckpoint[float64](path, ConfigHash(int64(2)), 4, 0); err == nil {
-		t.Fatal("checkpoint from a different configuration loaded without error")
-	} else if !strings.Contains(err.Error(), "configuration") {
-		t.Fatalf("rejection error %v does not name the configuration mismatch", err)
-	}
-	if _, err := OpenCheckpoint[float64](path, ConfigHash(int64(1)), 8, 0); err == nil {
-		t.Fatal("checkpoint with a different sample count loaded without error")
+	for _, tc := range []struct{ name, written, opened string }{
+		{"seed", ConfigHash(int64(1)), ConfigHash(int64(2))},
+		// A checkpoint from a run under the removed tape-fast model kernel
+		// (hashed as experiments.Config hashed it then) holds samples that
+		// are not bit-identical to today's single evaluation path, so the
+		// kernel-free hash of the same configuration must refuse it.
+		{"tape-fast", ConfigHash(int64(1), 1.0, 0.9, false, "tape-fast"),
+			ConfigHash(int64(1), 1.0, 0.9, false)},
+	} {
+		path := filepath.Join(t.TempDir(), "run.ckpt.json")
+		ck, err := OpenCheckpoint[float64](path, tc.written, 4, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck.Record(0, 1.0, nil, nil)
+		if err := ck.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenCheckpoint[float64](path, tc.opened, 4, 0); err == nil {
+			t.Fatalf("%s: checkpoint from a different configuration loaded without error", tc.name)
+		} else if !strings.Contains(err.Error(), "configuration") {
+			t.Fatalf("%s: rejection error %v does not name the configuration mismatch", tc.name, err)
+		}
+		if _, err := OpenCheckpoint[float64](path, tc.written, 8, 0); err == nil {
+			t.Fatalf("%s: checkpoint with a different sample count loaded without error", tc.name)
+		}
 	}
 }
 

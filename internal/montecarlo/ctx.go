@@ -1,9 +1,9 @@
 package montecarlo
 
 // Context-aware Monte Carlo engine: the lifecycle layer of the driver.
-// MapPooledReportCtx is the real engine — the classic MapPooledReport now
-// delegates to it with context.Background() and no budget, which keeps
-// every check on the disarmed fast path.
+// MapPooledReportCtx is the real engine — Map and MapCtx delegate to it,
+// and a context.Background() run with no budget keeps every check on the
+// disarmed fast path.
 //
 // Three lifecycle mechanisms compose here:
 //
@@ -149,7 +149,8 @@ func MapCtx[T any](ctx context.Context, n int, seed int64, workers int,
 	return out, err
 }
 
-// MapReportCtx is MapReport with a context and lifecycle options.
+// MapReportCtx is Map with a context, lifecycle options (failure policy,
+// budgets, checkpoint) and a RunReport.
 func MapReportCtx[T any](ctx context.Context, n int, seed int64, workers int, opts RunOpts,
 	fn func(idx int, rng *rand.Rand) (T, error)) ([]T, RunReport, error) {
 	return MapPooledReportCtx(ctx, n, seed, workers, opts,
@@ -167,9 +168,26 @@ type workerSlot struct {
 	gone  bool
 }
 
-// MapPooledReportCtx is MapPooledReport with a context, per-sample budgets,
-// a hang watchdog, and optional checkpointing — the engine every other Map
-// variant delegates to. Semantics beyond MapPooledReport:
+// MapPooledReportCtx is Map with per-worker pooled state, an explicit
+// failure policy, a RunReport, a context, per-sample budgets, a hang
+// watchdog, and optional checkpointing — the engine every other Map variant
+// delegates to.
+//
+// newState builds one S per worker (a circuit template with preallocated
+// solver scratch, say), and fn re-stamps and evaluates sample idx against
+// its worker's state. Sample idx's PRNG is derived from (seed, idx) alone
+// and the per-worker state must not leak sample-dependent results across
+// samples, so output stays bit-identical for any worker count and
+// scheduling. A newState error aborts before any samples run on that
+// worker; sample errors are reported for the lowest failing index.
+//
+// Each sample runs under panic recovery: a panicking sample is converted
+// into a per-sample *PanicError without killing the process, the worker, or
+// the pool, and the worker's pooled state stays usable for the next sample.
+// Under SkipAndRecord the returned slice keeps the zero value at failed
+// indices (drop them with Compact); under FailFast (or a tripped failure
+// cap) the slice is nil and the error describes the failure, with the
+// RunReport still populated for diagnosis. Further:
 //
 //   - On cancellation the run returns its partial results (failed and
 //     never-claimed slots hold zero values), RunReport.Cancelled is set,
@@ -201,9 +219,8 @@ func MapPooledReportCtx[S, T any](ctx context.Context, n int, seed int64, worker
 	ck := opts.Checkpoint
 	off := opts.Offset
 
-	// failLimit is the largest failure count that does NOT abort the run
-	// (see MapPooledReport). Cancellation-interrupted samples never count
-	// against it.
+	// failLimit is the largest failure count that does NOT abort the run.
+	// Cancellation-interrupted samples never count against it.
 	failLimit := int64(n)
 	switch {
 	case pol.OnFailure == FailFast:

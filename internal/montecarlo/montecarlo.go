@@ -42,8 +42,7 @@ type FailurePolicy int
 const (
 	// FailFast aborts the run on the first failure; the error reported is
 	// the one with the lowest sample index among the samples that ran.
-	// This is the zero value, preserving the classic Map/MapPooled
-	// contract.
+	// This is the zero value, preserving the classic Map contract.
 	FailFast FailurePolicy = iota
 	// SkipAndRecord isolates failing samples: their errors are recorded in
 	// the RunReport, their output slots keep the zero value (drop them
@@ -127,8 +126,8 @@ type RunReport struct {
 }
 
 // RescueReporter is implemented by pooled worker states (circuit bench
-// templates) that track solver rescue-ladder counters; MapPooledReport sums
-// them across workers into RunReport.Rescued after the run drains.
+// templates) that track solver rescue-ladder counters; MapPooledReportCtx
+// sums them across workers into RunReport.Rescued after the run drains.
 type RescueReporter interface {
 	RescueCounts() map[string]int64
 }
@@ -201,46 +200,8 @@ func (r RunReport) String() string {
 // idx), so results are bit-identical for any worker count. The first error
 // (by sample index) aborts the run.
 func Map[T any](n int, seed int64, workers int, fn func(idx int, rng *rand.Rand) (T, error)) ([]T, error) {
-	out, _, err := MapReport(n, seed, workers, Policy{}, fn)
+	out, _, err := MapReportCtx(context.Background(), n, seed, workers, RunOpts{}, fn)
 	return out, err
-}
-
-// MapReport is Map with an explicit failure policy and a RunReport.
-func MapReport[T any](n int, seed int64, workers int, pol Policy,
-	fn func(idx int, rng *rand.Rand) (T, error)) ([]T, RunReport, error) {
-	return MapPooledReport(n, seed, workers, pol,
-		func(int) (struct{}, error) { return struct{}{}, nil },
-		func(_ struct{}, idx int, rng *rand.Rand) (T, error) { return fn(idx, rng) })
-}
-
-// MapPooled is Map with per-worker pooled state: newState builds one S per
-// worker (a circuit template with preallocated solver scratch, say), and fn
-// re-stamps and evaluates sample idx against its worker's state. Sample
-// idx's PRNG is derived from (seed, idx) alone and the per-worker state must
-// not leak sample-dependent results across samples, so output stays
-// bit-identical for any worker count and scheduling. A newState error aborts
-// before any samples run on that worker; sample errors are reported for the
-// lowest failing index.
-func MapPooled[S, T any](n int, seed int64, workers int,
-	newState func(worker int) (S, error),
-	fn func(st S, idx int, rng *rand.Rand) (T, error)) ([]T, error) {
-	out, _, err := MapPooledReport(n, seed, workers, Policy{}, newState, fn)
-	return out, err
-}
-
-// MapPooledReport is MapPooled with an explicit failure policy and a
-// RunReport. Each sample runs under panic recovery: a panicking sample is
-// converted into a per-sample *PanicError without killing the process, the
-// worker, or the pool, and the worker's pooled state stays usable for the
-// next sample. Under SkipAndRecord the returned slice keeps the zero value
-// at failed indices (drop them with Compact); under FailFast (or a tripped
-// failure cap) the slice is nil and the error describes the failure, with
-// the RunReport still populated for diagnosis.
-func MapPooledReport[S, T any](n int, seed int64, workers int, pol Policy,
-	newState func(worker int) (S, error),
-	fn func(st S, idx int, rng *rand.Rand) (T, error)) ([]T, RunReport, error) {
-	return MapPooledReportCtx(context.Background(), n, seed, workers,
-		RunOpts{Policy: pol}, newState, fn)
 }
 
 // safeState builds one worker state under panic recovery.

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -93,7 +94,7 @@ func TestMapPooledMatchesMapAcrossWorkerCounts(t *testing.T) {
 	var created atomic.Int64
 	for _, workers := range []int{1, 4, 13} {
 		created.Store(0)
-		got, err := MapPooled(100, 42, workers,
+		got, _, err := MapPooledReportCtx(context.Background(), 100, 42, workers, RunOpts{},
 			func(w int) (int, error) { created.Add(1); return w, nil },
 			func(st int, idx int, rng *rand.Rand) (float64, error) { return fn(idx, rng) })
 		if err != nil {
@@ -113,7 +114,7 @@ func TestMapPooledMatchesMapAcrossWorkerCounts(t *testing.T) {
 func TestMapPooledStateErrorAborts(t *testing.T) {
 	boom := errors.New("no bench")
 	var ran atomic.Int64
-	_, err := MapPooled(40, 1, 3,
+	_, _, err := MapPooledReportCtx(context.Background(), 40, 1, 3, RunOpts{},
 		func(w int) (int, error) {
 			if w == 1 {
 				return 0, boom
@@ -136,7 +137,7 @@ func TestMapPooledStateErrorAborts(t *testing.T) {
 
 func TestMapPooledSampleErrorByLowestIndex(t *testing.T) {
 	early, late := errors.New("early"), errors.New("late")
-	_, err := MapPooled(50, 1, 8,
+	_, _, err := MapPooledReportCtx(context.Background(), 50, 1, 8, RunOpts{},
 		func(w int) (struct{}, error) { return struct{}{}, nil },
 		func(_ struct{}, idx int, _ *rand.Rand) (int, error) {
 			switch idx {
@@ -156,7 +157,7 @@ func TestMapPooledStateIsPerWorkerNotPerSample(t *testing.T) {
 	// Each worker must see one persistent state across all its samples —
 	// that is the entire point of pooling.
 	type counter struct{ calls int }
-	outs, err := MapPooled(64, 9, 4,
+	outs, _, err := MapPooledReportCtx(context.Background(), 64, 9, 4, RunOpts{},
 		func(w int) (*counter, error) { return &counter{}, nil },
 		func(st *counter, idx int, _ *rand.Rand) (int, error) {
 			st.calls++

@@ -2,7 +2,7 @@ package montecarlo
 
 import "sync/atomic"
 
-// ProgressSink receives live run-progress callbacks from MapPooledReport
+// ProgressSink receives live run-progress callbacks from MapPooledReportCtx
 // (and everything layered on it). The interface is structural so the
 // observability layer can implement it without this package importing it:
 // obs.Progress satisfies it directly. Implementations must be safe for

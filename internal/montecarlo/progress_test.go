@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -33,12 +34,13 @@ func TestProgressSinkSeesEverySample(t *testing.T) {
 	defer SetProgress(nil)
 
 	const n = 200
-	_, rep, err := MapReport(n, 7, 4, SkipUpTo(0.5), func(idx int, _ *rand.Rand) (int, error) {
-		if idx%10 == 0 {
-			return 0, fmt.Errorf("boom %d", idx)
-		}
-		return idx, nil
-	})
+	_, rep, err := MapReportCtx(context.Background(), n, 7, 4, RunOpts{Policy: SkipUpTo(0.5)},
+		func(idx int, _ *rand.Rand) (int, error) {
+			if idx%10 == 0 {
+				return 0, fmt.Errorf("boom %d", idx)
+			}
+			return idx, nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ const (
 	PhaseSolve                  // newton-solve: the solver proper (minus the above)
 	PhaseMeasure                // measure: waveform/metric extraction
 	PhaseBatchEval              // device-eval-batch: lockstep SoA device evaluation
-	PhaseTapeBind               // tape-bind: op-tape constant folding at lane bind
 	NumPhases
 )
 
@@ -35,7 +34,6 @@ var phaseNames = [NumPhases]string{
 	"newton-solve",
 	"measure",
 	"device-eval-batch",
-	"tape-bind",
 }
 
 // String returns the phase's metric-name segment.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -126,6 +127,36 @@ func TestHTTPEndpointErrorMapping(t *testing.T) {
 	defer hcancel()
 	if err := WaitHealthy(hctx, srv.URL, nil); err == nil {
 		t.Fatal("draining worker passed the health probe")
+	}
+}
+
+// TestHTTPEndpointOversizedBody pins the /shard body cap: a body over
+// maxRequestBytes is answered 413 without reaching the executor, and the
+// handler goes on serving valid requests.
+func TestHTTPEndpointOversizedBody(t *testing.T) {
+	srv := httptest.NewServer(Handler(testExec()))
+	defer srv.Close()
+
+	// Valid JSON whose one string field runs past the cap, so the decoder
+	// keeps reading until the limit trips rather than failing on syntax.
+	body := `{"bench":"` + strings.Repeat("x", maxRequestBytes) + `"}`
+	resp, err := http.Post(srv.URL+"/shard", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body answered %d, want 413", resp.StatusCode)
+	}
+
+	ep := HTTPEndpoint[float64]{Base: srv.URL}
+	req := Request{ConfigHash: testHash, Seed: 1, N: 100, Lo: 0, Hi: 100, MaxFailFrac: 1.0}
+	envs, err := ep.Dispatch(context.Background(), req)
+	if err != nil {
+		t.Fatalf("handler refused a valid request after an oversized one: %v", err)
+	}
+	if len(envs) != 1 || len(envs[0].Results) != 100 {
+		t.Fatalf("valid request after an oversized one returned %d envelopes", len(envs))
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"vstat/internal/montecarlo"
 	"vstat/internal/obs"
 )
 
@@ -303,6 +304,24 @@ func TestJournalRejectsForeignRun(t *testing.T) {
 			!strings.Contains(err.Error(), "different run") {
 			t.Fatalf("foreign config accepted (err %v)", err)
 		}
+	}
+	// A journal committed by a run under the removed tape-fast model
+	// kernel (hashed as experiments.Config hashed it then) holds samples
+	// that are not bit-identical to today's single evaluation path: the
+	// kernel-free hash of the same configuration must refuse to merge it.
+	tfPath := filepath.Join(t.TempDir(), "tape-fast.journal.json")
+	tfCfg := cfg
+	tfCfg.ConfigHash = montecarlo.ConfigHash(int64(1), 1.0, 0.9, false, "tape-fast")
+	tfJnl, err := CreateJournal[float64](tfPath, tfCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tfJnl.Close()
+	direct := cfg
+	direct.ConfigHash = montecarlo.ConfigHash(int64(1), 1.0, 0.9, false)
+	if _, err := OpenJournal[float64](tfPath, direct); err == nil ||
+		!strings.Contains(err.Error(), "different run") {
+		t.Fatalf("tape-fast journal accepted by a direct run (err %v)", err)
 	}
 	// A run handed a journal for a different config must refuse too.
 	jnl2, err := OpenJournal[float64](path, cfg)

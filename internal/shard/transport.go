@@ -50,6 +50,11 @@ const (
 	headerFatal    = "X-Vstat-Fatal"
 )
 
+// maxRequestBytes caps a /shard request body. A Request encodes to a few
+// hundred bytes, so the cap only stops a client from streaming an
+// unbounded body into the decoder.
+const maxRequestBytes = 1 << 20
+
 // Gate is a worker's drain switch. Serve traffic while open; after Drain
 // (SIGTERM) every new shard request and health probe is rejected with the
 // typed retryable draining error while in-flight work runs to completion.
@@ -176,7 +181,8 @@ func Handler[T any](exec ExecFn[T]) http.Handler {
 // re-dispatches to a worker that is still open. Executor errors map onto
 // the taxonomy too: a FatalError (config mismatch) becomes 409 + the fatal
 // header so the coordinator retires the endpoint instead of retrying a
-// request that can never succeed there.
+// request that can never succeed there. A request body over
+// maxRequestBytes is answered 413.
 func GatedHandler[T any](exec ExecFn[T], gate *Gate) http.Handler {
 	mux := http.NewServeMux()
 	rejectDraining := func(w http.ResponseWriter) bool {
@@ -202,8 +208,13 @@ func GatedHandler[T any](exec ExecFn[T], gate *Gate) http.Handler {
 			return
 		}
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), code)
 			return
 		}
 		env, err := exec(r.Context(), req)

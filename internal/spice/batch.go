@@ -139,8 +139,6 @@ func (b *BatchSim) SetObs(sc *obs.Scope) {
 // (Restat) are always picked up; a device whose concrete type the model
 // kernel cannot batch demotes that position to the scalar-loop fallback.
 func (b *BatchSim) Rebind() {
-	b.obsScope.Enter(obs.PhaseTapeBind)
-	defer b.obsScope.Exit()
 	for i := range b.devs {
 		for l, c := range b.lanes {
 			if !b.devs[i].SetLane(l, c.MOSDevice(i)) {

@@ -100,9 +100,9 @@ type SolverStats struct {
 
 	// ModelEvals counts MOSFET compact-model evaluations (scalar Eval /
 	// EvalDerivs calls and batched SoA lane-evaluations alike), the
-	// denominator for per-kernel model-throughput metrics. Incremented at
-	// the sites that invoke a model, not at the stamping sites that consume
-	// a pre-computed bundle, so batch and scalar paths count identically.
+	// denominator for model-throughput metrics. Incremented at the sites
+	// that invoke a model, not at the stamping sites that consume a
+	// pre-computed bundle, so batch and scalar paths count identically.
 	ModelEvals int64
 }
 

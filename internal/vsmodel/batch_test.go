@@ -112,6 +112,20 @@ func TestFallbackBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// SetLane binds only bare VS instances: any other device (here a VS card
+// behind a fault-injection wrapper) reports false, which is what makes the
+// lockstep engine demote that position to the scalar-loop fallback batch.
+func TestParamsBatchRejectsForeignLane(t *testing.T) {
+	p := NMOS40(600e-9)
+	pb := NewParamsBatch(2)
+	if !pb.SetLane(0, &p) {
+		t.Fatal("SetLane rejected a *Params instance")
+	}
+	if pb.SetLane(1, &device.FaultCard{Inner: &p}) {
+		t.Fatal("SetLane accepted a non-VS device")
+	}
+}
+
 // The batched kernel must not allocate per call.
 func TestBatchKernelZeroAlloc(t *testing.T) {
 	const k = 8
