@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: tier1 tier2 bench bench-mc race vet obs sparse lifecycle batch shard shardcrash trace perfbench
+.PHONY: tier1 tier2 bench bench-mc race vet obs sparse lifecycle batch shard shardcrash trace perfbench benchcheck
 
 # Tier 1: the build + vet + test gate every change must keep green
 # (ROADMAP.md).
-tier1: vet obs sparse lifecycle batch shard shardcrash trace perfbench
+tier1: vet obs sparse lifecycle batch shard shardcrash trace perfbench benchcheck
 	$(GO) build ./... && $(GO) test ./...
 
 # Static analysis alone (also the first rung of tier1).
@@ -21,7 +21,9 @@ obs:
 
 # Sparse linear core rung: the symbolic-once sparse LU and the stamp-list
 # assembly path, under the race detector (the symbolic object is shared
-# per-worker state in pooled Monte Carlo).
+# per-worker state in pooled Monte Carlo). The spice package run includes
+# the shared transient prefix tests (TestTransientPrefix*): a sparse
+# re-pivot bumps the circuit epoch that invalidates a recorded prefix.
 sparse:
 	$(GO) test -race ./internal/linalg/ ./internal/spice/ -count=1
 
@@ -87,6 +89,13 @@ trace:
 # benchmark pipeline.
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) build ./...
+
+# Benchmark-reference rung: one short mc_units run at the reference seed.
+# run.sh exits 1 when a unit's first-round values leave the committed
+# reference (perfbench/ref/), so a numerics drift fails here rather than
+# first in the benchmark pipeline. Takes a few seconds.
+benchcheck:
+	bash perfbench/run.sh --workload mc_units --seed 20130318 --seconds 1 --trace 0
 
 # Tier 2: the race detector over the full tree, including the pooled
 # parallel Monte Carlo engine.

@@ -16,19 +16,22 @@ type DFF struct {
 	D, Clk, Q            int
 	M1, M2, S1, ClkB     int // internal nodes, exposed for initial conditions
 	Vdd                  float64
+
+	// Prefix is the register's shared-transient recording: the setup and
+	// hold searches reset it on entry and resume every bisection trial at
+	// its data edge (see spice.TranPrefix). It is reused across samples, so
+	// the pooled hot path does not allocate for it.
+	Prefix spice.TranPrefix
+
+	icZero map[int]float64
 }
 
 // ICHoldingZero returns transient initial conditions with the register
 // holding Q=0 and the clock low (master transparent at D=0). Latches are
 // bistable, so Monte Carlo transients must start from explicit conditions
-// rather than an arbitrary operating point.
-func (ff *DFF) ICHoldingZero() map[int]float64 {
-	return map[int]float64{
-		ff.D: 0, ff.Clk: 0, ff.ClkB: ff.Vdd,
-		ff.M1: 0, ff.M2: ff.Vdd,
-		ff.S1: ff.Vdd, ff.Q: 0,
-	}
-}
+// rather than an arbitrary operating point. The map is built once per
+// register and shared by every call: treat it as read-only.
+func (ff *DFF) ICHoldingZero() map[int]float64 { return ff.icZero }
 
 // DFFSizing configures the flip-flop transistor sizes; the paper gives
 // P/N = 600 nm/300 nm for the forward inverters at L = 40 nm.
@@ -87,5 +90,10 @@ func NewDFF(vdd float64, sz DFFSizing, f Factory) *DFF {
 		D: d, Clk: clk, Q: q,
 		M1: m1, M2: m2, S1: s1, ClkB: clkb,
 		Vdd: vdd,
+		icZero: map[int]float64{
+			d: 0, clk: 0, clkb: vdd,
+			m1: 0, m2: vdd,
+			s1: vdd, q: 0,
+		},
 	}
 }

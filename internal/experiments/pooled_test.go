@@ -108,34 +108,89 @@ func TestPooledSNMBitIdentical(t *testing.T) {
 	}
 }
 
+// TestPooledSetupTimeBitIdentical: the pooled register (re-stamped cards,
+// reused waveform storage, the prefix carried across samples and reset per
+// search) reproduces the rebuild-per-sample setup times bit for bit.
 func TestPooledSetupTimeBitIdentical(t *testing.T) {
+	checkPooledDFFBitIdentical(t, measure.SetupTime)
+}
+
+// TestPooledHoldTimeBitIdentical is the same contract for the hold search.
+func TestPooledHoldTimeBitIdentical(t *testing.T) {
+	checkPooledDFFBitIdentical(t, measure.HoldTime)
+}
+
+func checkPooledDFFBitIdentical(t *testing.T, search func(*circuits.DFF, measure.SetupOpts) (float64, error)) {
+	t.Helper()
 	m := core.DefaultStatVS()
-	const n = 2
+	const n = 8
 	const seed = int64(55)
 	opts := measure.DefaultSetupOpts()
 	want, err := montecarlo.Map(n, seed, 1, func(idx int, rng *rand.Rand) (float64, error) {
 		ff := circuits.NewDFF(poolTestVdd, circuits.DefaultDFFSizing(), m.Statistical(rng))
-		return measure.SetupTime(ff, opts)
+		return search(ff, opts)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, 2, montecarlo.RunOpts{},
-		func(int) (*circuits.PooledDFF, error) {
-			return circuits.NewPooledDFF(poolTestVdd, circuits.DefaultDFFSizing(), m.Nominal(), false), nil
-		},
-		func(ff *circuits.PooledDFF, idx int, rng *rand.Rand) (float64, error) {
-			ff.Restat(m.Statistical(rng))
-			o := opts
-			o.Res, o.Fast = &ff.Res, ff.Fast
-			return measure.SetupTime(ff.DFF, o)
-		})
+	got, err := pooledDFFMC(m, n, seed, 2, false, search)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("pooled setup sample %d = %.17g, unpooled %.17g", i, got[i], want[i])
+			t.Fatalf("pooled DFF sample %d = %.17g, unpooled %.17g", i, got[i], want[i])
+		}
+	}
+}
+
+// pooledDFFMC runs a register search over n pooled samples.
+func pooledDFFMC(m core.StatModel, n int, seed int64, workers int, fast bool,
+	search func(*circuits.DFF, measure.SetupOpts) (float64, error)) ([]float64, error) {
+	opts := measure.DefaultSetupOpts()
+	out, _, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, workers, montecarlo.RunOpts{},
+		func(int) (*circuits.PooledDFF, error) {
+			return circuits.NewPooledDFF(poolTestVdd, circuits.DefaultDFFSizing(), m.Nominal(), fast), nil
+		},
+		func(ff *circuits.PooledDFF, idx int, rng *rand.Rand) (float64, error) {
+			ff.Restat(m.Statistical(rng))
+			o := opts
+			o.Res, o.Fast = &ff.Res, ff.Fast
+			return search(ff.DFF, o)
+		})
+	return out, err
+}
+
+// TestPooledFastSetupAccuracy bounds the fast path on the register: a
+// resumed fast trial refactors where a from-zero one would carry factors,
+// so trials agree with exact mode only to the fast tolerance — which may
+// flip a marginal bisection probe, but then the boundary lies at that
+// probe, so the setup time stays within two bisection resolutions. Fast
+// mode carries nothing across samples, so it is worker-invariant.
+func TestPooledFastSetupAccuracy(t *testing.T) {
+	m := core.DefaultStatVS()
+	const n = 16
+	const seed = int64(2718)
+	tol := measure.DefaultSetupOpts().Tol
+	exact, err := pooledDFFMC(m, n, seed, 1, false, measure.SetupTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast1, err := pooledDFFMC(m, n, seed, 1, true, measure.SetupTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast2, err := pooledDFFMC(m, n, seed, 2, true, measure.SetupTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range exact {
+		if d := math.Abs(fast1[i] - exact[i]); d > 2*tol {
+			t.Fatalf("fast setup time %d deviates by %g s (exact %g s, fast %g s), bound %g s",
+				i, d, exact[i], fast1[i], 2*tol)
+		}
+		if fast2[i] != fast1[i] {
+			t.Fatalf("fast setup sample %d varies with worker count: %.17g vs %.17g", i, fast2[i], fast1[i])
 		}
 	}
 }
@@ -177,6 +232,12 @@ func TestPooledFastDelayAccuracy(t *testing.T) {
 		}
 	}
 }
+
+// maxPooledDFFAllocs is what one pooled register sample allocated before
+// the setup search shared its pre-edge transient (74 objects: the fresh
+// cards and the trials' source waveforms). Recording and resuming that
+// prefix must not add to it.
+const maxPooledDFFAllocs = 74
 
 // TestPooledAllocRegression pins the headline allocation win: a pooled
 // per-sample transient must allocate at least 10x less than the
@@ -223,5 +284,26 @@ func TestPooledAllocRegression(t *testing.T) {
 	})
 	if transientOnly != 0 {
 		t.Fatalf("pooled transient allocates %.1f objects per run, want 0", transientOnly)
+	}
+
+	// A pooled register sample: the re-stamp plus one full setup search.
+	// After warm-up the shared prefix and the waveform rows are reused, so
+	// what remains is the sample's fresh device cards and the trials' source
+	// waveforms.
+	ff := circuits.NewPooledDFF(poolTestVdd, circuits.DefaultDFFSizing(), m.Nominal(), false)
+	o := measure.DefaultSetupOpts()
+	o.Res = &ff.Res
+	idx = 0
+	dffSample := func() {
+		rng := montecarlo.SampleRNG(5, idx)
+		idx++
+		ff.Restat(m.Statistical(rng))
+		if _, err := measure.SetupTime(ff.DFF, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dffSample()
+	if dff := testing.AllocsPerRun(3, dffSample); dff > maxPooledDFFAllocs {
+		t.Fatalf("pooled DFF sample allocates %.1f objects, want at most %d", dff, maxPooledDFFAllocs)
 	}
 }

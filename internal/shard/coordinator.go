@@ -19,6 +19,8 @@ type Config struct {
 	Seed       int64
 	ConfigHash string
 	// ShardSize is the index-range width per shard; <= 0 defaults to 1024.
+	// Above MaxShardSamples the run is refused, since every worker would
+	// refuse its requests.
 	ShardSize int
 	// Bench is passed through to workers (names the sample function on
 	// their side).
@@ -248,6 +250,9 @@ func RunWithOptions[T any](ctx context.Context, cfg Config, endpoints []Endpoint
 	}
 	if cfg.N <= 0 {
 		return Result[T]{}, nil
+	}
+	if cfg.ShardSize > MaxShardSamples {
+		return Result[T]{}, fmt.Errorf("shard: shard size %d exceeds the %d-sample cap", cfg.ShardSize, MaxShardSamples)
 	}
 	if opts.Journal != nil && !opts.Journal.matches(cfg) {
 		return Result[T]{}, fmt.Errorf("shard: journal %s belongs to a different run configuration", opts.Journal.path)

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -157,6 +158,48 @@ func TestHTTPEndpointOversizedBody(t *testing.T) {
 	}
 	if len(envs) != 1 || len(envs[0].Results) != 100 {
 		t.Fatalf("valid request after an oversized one returned %d envelopes", len(envs))
+	}
+}
+
+// TestHTTPEndpointOverCapRangeFatal: a request whose range exceeds
+// MaxShardSamples is refused before any sample runs, and the answer is
+// fatal (409 + the fatal header), so a coordinator retires the endpoint
+// instead of retrying a request that can never succeed. A coordinator
+// configured with such a shard size refuses the run before dispatching.
+func TestHTTPEndpointOverCapRangeFatal(t *testing.T) {
+	var ran atomic.Int64
+	exec := NewExecutor[struct{}, float64](testHash, 2, testNewState,
+		func(st struct{}, idx int, rng *rand.Rand) (float64, error) {
+			ran.Add(1)
+			return testFn(st, idx, rng)
+		})
+	srv := httptest.NewServer(Handler(exec))
+	defer srv.Close()
+
+	ep := HTTPEndpoint[float64]{Base: srv.URL}
+	over := Request{ConfigHash: testHash, Seed: 1, N: MaxShardSamples + 1, Lo: 0, Hi: MaxShardSamples + 1}
+	if _, err := ep.Dispatch(context.Background(), over); !IsFatal(err) {
+		t.Fatalf("over-cap request answered %v, want a fatal refusal", err)
+	}
+	bad := Request{ConfigHash: testHash, Seed: 1, N: 10, Lo: 5, Hi: 3}
+	if _, err := ep.Dispatch(context.Background(), bad); !IsFatal(err) {
+		t.Fatalf("malformed range answered %v, want a fatal refusal", err)
+	}
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("refused requests ran %d samples", n)
+	}
+
+	var dispatched atomic.Int64
+	counting := Loopback[float64]{Exec: func(ctx context.Context, req Request) (*Envelope[float64], error) {
+		dispatched.Add(1)
+		return exec(ctx, req)
+	}}
+	cfg := Config{N: MaxShardSamples + 1, Seed: 1, ConfigHash: testHash, ShardSize: MaxShardSamples + 1}
+	if _, err := Run(context.Background(), cfg, []Endpoint[float64]{{Name: "w0", Transport: counting}}, exec); err == nil {
+		t.Fatal("coordinator accepted a shard size above the cap")
+	}
+	if n := dispatched.Load(); n != 0 {
+		t.Fatalf("coordinator dispatched %d over-cap requests", n)
 	}
 }
 

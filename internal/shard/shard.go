@@ -34,6 +34,11 @@ import (
 // checkpoint file.
 const EnvelopeVersion = 1
 
+// MaxShardSamples caps one shard's index range. A worker allocates a result
+// slot per sample before it runs any, so an uncapped Hi−Lo arriving over the
+// wire would let one request claim unbounded memory.
+const MaxShardSamples = 1 << 20
+
 // Request asks a worker to execute one shard: the contiguous global index
 // range [Lo, Hi) of an N-sample run. ConfigHash pins the run identity
 // (model parameters, bench, seed, …) the same way a checkpoint's hash
@@ -82,10 +87,16 @@ func (r Request) Policy() montecarlo.Policy {
 	return montecarlo.Policy{OnFailure: montecarlo.FailFast}
 }
 
-// Validate rejects a malformed request before any work runs.
+// Validate rejects a malformed request before any work runs. Every failure
+// is a FatalError: the same request fails the same way on every worker, so
+// retrying it cannot help.
 func (r Request) Validate() error {
 	if r.N <= 0 || r.Lo < 0 || r.Hi <= r.Lo || r.Hi > r.N {
-		return fmt.Errorf("shard: bad range [%d,%d) of n=%d", r.Lo, r.Hi, r.N)
+		return &FatalError{Err: fmt.Errorf("shard: bad range [%d,%d) of n=%d", r.Lo, r.Hi, r.N)}
+	}
+	if r.Hi-r.Lo > MaxShardSamples {
+		return &FatalError{Err: fmt.Errorf("shard: range [%d,%d) holds %d samples, cap is %d",
+			r.Lo, r.Hi, r.Hi-r.Lo, MaxShardSamples)}
 	}
 	return nil
 }

@@ -183,6 +183,11 @@ type Circuit struct {
 	devPre    []device.Derivs
 	devPreSet bool
 
+	// epoch counts the changes that invalidate a recorded transient prefix
+	// (see TranPrefix): every element addition, every device re-stamp, and
+	// every sparse re-pivot.
+	epoch uint64
+
 	// Transient step scratch (see TransientInto) and reusable integrator
 	// history, so pooled Monte Carlo samples allocate nothing per transient.
 	trX, trPrev, trPrev2, trPred []float64
@@ -256,6 +261,7 @@ func (c *Circuit) AddR(name string, a, b int, ohms float64) {
 	}
 	c.luValid = false
 	c.spReady = false
+	c.epoch++
 	c.rs = append(c.rs, resistor{name: name, a: a, b: b, g: 1 / ohms})
 }
 
@@ -266,6 +272,7 @@ func (c *Circuit) AddC(name string, a, b int, farads float64) {
 	}
 	c.luValid = false
 	c.spReady = false
+	c.epoch++
 	c.cs = append(c.cs, capacitor{name: name, a: a, b: b, c: farads})
 }
 
@@ -275,12 +282,14 @@ func (c *Circuit) AddV(name string, p, n int, w Waveform) int {
 	idx := len(c.vs)
 	c.luValid = false
 	c.spReady = false
+	c.epoch++
 	c.vs = append(c.vs, vsource{name: name, p: p, n: n, branch: idx, wave: w})
 	return idx
 }
 
 // AddI adds a current source driving current from p through the source to n.
 func (c *Circuit) AddI(name string, p, n int, w Waveform) {
+	c.epoch++
 	c.is = append(c.is, isource{name: name, p: p, n: n, wave: w})
 }
 
@@ -288,6 +297,7 @@ func (c *Circuit) AddI(name string, p, n int, w Waveform) {
 func (c *Circuit) AddMOS(name string, d, g, s, b int, dev device.Device) {
 	c.luValid = false
 	c.spReady = false
+	c.epoch++
 	c.mos = append(c.mos, mosfet{name: name, d: d, g: g, s: s, b: b, dev: dev})
 }
 
@@ -300,6 +310,7 @@ func (c *Circuit) NumMOS() int { return len(c.mos) }
 func (c *Circuit) SetMOSDevice(i int, dev device.Device) {
 	c.mos[i].dev = dev
 	c.luValid = false
+	c.epoch++
 }
 
 // MOSDevice returns the device model of the i-th MOSFET (AddMOS order),

@@ -334,6 +334,7 @@ func (c *Circuit) factorSparse() error {
 		return nil
 	}
 	c.stats.SparseRepivots++
+	c.epoch++ // a new pivot order: recorded transient steps no longer replay
 	if aerr := c.spLU.Analyze(c.sp); aerr != nil {
 		return aerr
 	}

@@ -40,6 +40,19 @@ type TranOpts struct {
 	// cached by the last Newton assembly for the charge-history update.
 	// Leave unset for the tight-tolerance classic path.
 	Fast bool
+
+	// Prefix, when non-nil, shares the leading stretch of this run with
+	// earlier runs recorded into it: the run resumes at the last recorded
+	// step inside [0, SharedUntil] instead of at t = 0, and records its own
+	// steps inside that window for later runs. The caller guarantees that
+	// every source waveform equals the recorded runs' on [0, SharedUntil];
+	// everything else the steps depend on is checked (see TranPrefix). In
+	// exact mode a resumed run is bit-identical to a run from t = 0; in fast
+	// mode the resume drops the carried factorization, so waveforms agree
+	// to the fast-path tolerance. A SharedUntil below the first step runs
+	// plain and leaves the prefix untouched.
+	Prefix      *TranPrefix
+	SharedUntil float64 // s
 }
 
 // TranResult holds the sampled waveforms of a transient run. A TranResult
@@ -185,15 +198,52 @@ func (c *Circuit) TransientInto(opts TranOpts, res *TranResult) error {
 
 	ts := &c.trState
 	ts.h, ts.trap, ts.firstBE = opts.Step, opts.Trap, true
-	c.initTranHistory(x, ts)
 
 	steps := int(math.Ceil(opts.Stop/opts.Step + 1e-9))
 	res.reset(c, steps+1)
-	res.snap(0, x)
+
+	// Shared-prefix resume: rows 0..start come from the prefix, and the
+	// stepping below records every new step up to `shared`.
+	pf, shared, start := opts.Prefix, 0, 0
+	if pf != nil {
+		shared = sharedStep(opts, steps)
+	}
+	if shared < 1 {
+		pf = nil
+	}
+	if pf != nil {
+		if key := c.prefixKey(opts); pf.resumable(key, x) {
+			start = min(shared, pf.rows-1)
+		} else {
+			pf.begin(key)
+		}
+	}
+	if start > 0 {
+		c.sizeTranHistory(ts)
+		pf.restore(start, n, ts)
+		ts.firstBE = false
+		for k := 0; k <= start; k++ {
+			res.snap(float64(k)*opts.Step, pf.x(k, n))
+		}
+		copy(x, pf.x(start, n))
+		copy(xPrev, pf.x(start-1, n))
+		if start > 1 {
+			copy(xPrev2, pf.x(start-2, n))
+		}
+		// The carried factorization belongs to whatever ran last, not to
+		// step start; fast mode refactors on its first iteration.
+		c.luValid = false
+	} else {
+		c.initTranHistory(x, ts)
+		res.snap(0, x)
+		if pf != nil && pf.rows == 0 {
+			pf.record(x, ts)
+		}
+		copy(xPrev, x)
+	}
 
 	t := 0.0
-	copy(xPrev, x)
-	for k := 0; k < steps; k++ {
+	for k := start; k < steps; k++ {
 		t = float64(k+1) * opts.Step
 		// Snapshot the charge history so a failed or NaN-rejected step can
 		// be retried (and retried again at a finer sub-step) from exactly
@@ -262,6 +312,11 @@ func (c *Circuit) TransientInto(opts TranOpts, res *TranResult) error {
 		ts.firstBE = false
 		c.stats.TranSteps++
 		res.snap(t, x)
+		// Record the step while it is still shared and nothing it depends
+		// on has changed mid-run (a re-pivot bumps the epoch).
+		if pf != nil && k+1 <= shared && k+1 == pf.rows && c.epoch == pf.key.epoch {
+			pf.record(x, ts)
+		}
 	}
 	return nil
 }
