@@ -105,10 +105,11 @@ tier2: vet
 # Race detector over the concurrency-bearing packages: the Monte Carlo
 # driver (failure policies, panic recovery, report aggregation, the
 # context-aware *Ctx variants with their hang watchdog and checkpoint
-# sink), the solver rescue ladder, and the pooled experiment plumbing.
+# sink), the solver rescue ladder, and the pooled experiment plumbing
+# (Table IV included: its columns run concurrent pooled workers).
 race:
 	$(GO) test -race ./internal/montecarlo/ ./internal/spice/ ./internal/obs/ -count=1
-	$(GO) test -race ./internal/experiments/ -run 'TestMap|TestPooled|TestFault|TestFail|TestMCRescue|TestRunPooledMC|TestHangSample' -count=1
+	$(GO) test -race ./internal/experiments/ -run 'TestMap|TestPooled|TestFault|TestFail|TestMCRescue|TestRunPooledMC|TestHangSample|TestTable4' -count=1
 
 # Benchmark runner: the paper-figure per-sample benches plus the pooled
 # vs rebuild Monte Carlo pairs (the speedup evidence for the pooled engine).

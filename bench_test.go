@@ -6,8 +6,9 @@
 //	go test -bench=. -benchmem
 //
 // Table IV — the paper's runtime/memory comparison — is the pair of
-// *VS/*Golden benchmarks for each cell; the per-op ratios are the
-// reproduction's speedup numbers.
+// BenchmarkTable4*VS/*Golden benchmarks for each cell, each timing one
+// pooled sample as experiments.Suite.Table4 runs it; the per-op ratios
+// are the reproduction's per-sample speedup numbers.
 package vstat_bench
 
 import (
@@ -179,14 +180,12 @@ func benchNAND2Delay(b *testing.B, m core.StatModel, vdd float64) {
 	}
 }
 
-// Fig. 7 and the NAND2 row of Table IV.
+// Fig. 7.
 func BenchmarkFig7NAND2VS(b *testing.B)       { benchNAND2Delay(b, getSuite(b).VS, 0.9) }
 func BenchmarkFig7NAND2Golden(b *testing.B)   { benchNAND2Delay(b, getSuite(b).Golden, 0.9) }
 func BenchmarkFig7NAND2LowVddVS(b *testing.B) { benchNAND2Delay(b, getSuite(b).VS, 0.55) }
-func BenchmarkTable4NAND2VS(b *testing.B)     { benchNAND2Delay(b, getSuite(b).VS, 0.9) }
-func BenchmarkTable4NAND2Golden(b *testing.B) { benchNAND2Delay(b, getSuite(b).Golden, 0.9) }
 
-// ---- Fig. 8 / Table IV DFF: one setup-time bisection ----
+// ---- Fig. 8 DFF: one setup-time bisection ----
 
 func benchSetup(b *testing.B, m core.StatModel) {
 	opts := measure.DefaultSetupOpts()
@@ -202,10 +201,8 @@ func benchSetup(b *testing.B, m core.StatModel) {
 
 func BenchmarkFig8SetupVS(b *testing.B)     { benchSetup(b, getSuite(b).VS) }
 func BenchmarkFig8SetupGolden(b *testing.B) { benchSetup(b, getSuite(b).Golden) }
-func BenchmarkTable4DFFVS(b *testing.B)     { benchSetup(b, getSuite(b).VS) }
-func BenchmarkTable4DFFGolden(b *testing.B) { benchSetup(b, getSuite(b).Golden) }
 
-// ---- Fig. 9 / Table IV SRAM: one butterfly + SNM ----
+// ---- Fig. 9 SRAM: one butterfly + SNM ----
 
 func benchSRAM(b *testing.B, m core.StatModel) {
 	rng := rand.New(rand.NewSource(1))
@@ -222,10 +219,8 @@ func benchSRAM(b *testing.B, m core.StatModel) {
 	}
 }
 
-func BenchmarkFig9SRAMVS(b *testing.B)       { benchSRAM(b, getSuite(b).VS) }
-func BenchmarkFig9SRAMGolden(b *testing.B)   { benchSRAM(b, getSuite(b).Golden) }
-func BenchmarkTable4SRAMVS(b *testing.B)     { benchSRAM(b, getSuite(b).VS) }
-func BenchmarkTable4SRAMGolden(b *testing.B) { benchSRAM(b, getSuite(b).Golden) }
+func BenchmarkFig9SRAMVS(b *testing.B)     { benchSRAM(b, getSuite(b).VS) }
+func BenchmarkFig9SRAMGolden(b *testing.B) { benchSRAM(b, getSuite(b).Golden) }
 
 // ---- Pooled Monte Carlo engine: rebuild-per-sample vs pooled templates ----
 //
@@ -266,8 +261,7 @@ func benchPooledInv(b *testing.B, fast bool) {
 	benchPooledGateDelay(b, bch, m, 0.9)
 }
 
-func benchPooledNand2(b *testing.B, fast bool) {
-	m := core.DefaultStatVS()
+func benchPooledNand2(b *testing.B, m core.StatModel, fast bool) {
 	bch, err := circuits.NewPooledNAND2FO(3, 0.9, pooledBenchSizing(), m.Nominal(), fast)
 	if err != nil {
 		b.Fatal(err)
@@ -279,8 +273,52 @@ func BenchmarkMCInvFO3Rebuild(b *testing.B)      { benchInvDelay(b, core.Default
 func BenchmarkMCInvFO3Pooled(b *testing.B)       { benchPooledInv(b, false) }
 func BenchmarkMCInvFO3PooledFast(b *testing.B)   { benchPooledInv(b, true) }
 func BenchmarkMCNand2FO3Rebuild(b *testing.B)    { benchNAND2Delay(b, core.DefaultStatVS(), 0.9) }
-func BenchmarkMCNand2FO3Pooled(b *testing.B)     { benchPooledNand2(b, false) }
-func BenchmarkMCNand2FO3PooledFast(b *testing.B) { benchPooledNand2(b, true) }
+func BenchmarkMCNand2FO3Pooled(b *testing.B)     { benchPooledNand2(b, core.DefaultStatVS(), false) }
+func BenchmarkMCNand2FO3PooledFast(b *testing.B) { benchPooledNand2(b, core.DefaultStatVS(), true) }
+
+// ---- Table IV: one pooled sample of each column ----
+//
+// Suite.Table4 times each column on the pooled engine: per sample, a
+// re-stamp of the worker's template plus the row's measurement. These
+// benches time that unit, so the VS/Golden ratio of a pair is the row's
+// per-sample speedup.
+
+func benchTable4DFF(b *testing.B, m core.StatModel) {
+	ff := circuits.NewPooledDFF(0.9, circuits.DefaultDFFSizing(), m.Nominal(), false)
+	opts := measure.DefaultSetupOpts()
+	opts.Res, opts.Fast = &ff.Res, ff.Fast
+	rng := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ff.Restat(m.Statistical(rng))
+		if _, err := measure.SetupTime(ff.DFF, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func benchTable4SRAM(b *testing.B, m core.StatModel) {
+	cell := circuits.NewPooledSRAM(0.9, circuits.DefaultSRAMSizing(), m.Nominal(), 61, false)
+	rng := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cell.Restat(m.Statistical(rng))
+		l, r, err := cell.Butterfly(false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := measure.SNM(l, r); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTable4NAND2VS(b *testing.B)     { benchPooledNand2(b, getSuite(b).VS, false) }
+func BenchmarkTable4NAND2Golden(b *testing.B) { benchPooledNand2(b, getSuite(b).Golden, false) }
+func BenchmarkTable4DFFVS(b *testing.B)       { benchTable4DFF(b, getSuite(b).VS) }
+func BenchmarkTable4DFFGolden(b *testing.B)   { benchTable4DFF(b, getSuite(b).Golden) }
+func BenchmarkTable4SRAMVS(b *testing.B)      { benchTable4SRAM(b, getSuite(b).VS) }
+func BenchmarkTable4SRAMGolden(b *testing.B)  { benchTable4SRAM(b, getSuite(b).Golden) }
 
 // ---- Ablations (DESIGN.md §5) ----
 

@@ -175,7 +175,9 @@ func TestTable4RuntimeComparison(t *testing.T) {
 		t.Skip("runtime benches in -short mode")
 	}
 	s := testSuite(t)
-	// Trim to a fast comparison: the real numbers come from bench_test.go.
+	// Trim to the 50-sample floor: full-scale numbers come from
+	// vsrepro -exp table4 -scale 1, per-sample costs from the root
+	// BenchmarkTable4* benches.
 	saved := s.Cfg.Scale
 	s.Cfg.Scale = 0.02
 	defer func() { s.Cfg.Scale = saved }()

@@ -217,33 +217,11 @@ type Fig8HoldResult struct {
 // Fig8Hold Monte Carlos the register hold time with both models.
 func (s *Suite) Fig8Hold() (Fig8HoldResult, error) {
 	n := s.Cfg.samples(250)
-	opts := measure.DefaultSetupOpts()
 	res := Fig8HoldResult{N: n}
 	run := func(m core.StatModel, name string, seed int64) ([]float64, error) {
-		out, rep, err := runPooledMC[obsState[*circuits.PooledDFF], float64](s.Cfg, name, n, seed,
-			newObsState(s.instr, func() (*circuits.PooledDFF, error) {
-				return circuits.NewPooledDFF(s.Cfg.Vdd, circuits.DefaultDFFSizing(), m.Nominal(), s.Cfg.FastMC), nil
-			}),
-			func(st obsState[*circuits.PooledDFF], idx int, rng *rand.Rand) (float64, error) {
-				ff, so := st.B, st.So
-				sc := so.Scope()
-				ff.Ckt.SetObsSample(idx)
-				sc.Enter(obs.PhaseRestamp)
-				ff.Restat(so.Factory(m.Statistical(rng)))
-				sc.Exit()
-				o := opts
-				o.Res, o.Fast = &ff.Res, ff.Fast
-				sc.Enter(obs.PhaseMeasure)
-				th, err := measure.HoldTime(ff.DFF, o)
-				sc.Exit()
-				so.End(ff.Ckt.Stats())
-				return th, err
-			})
+		out, rep, err := pooledRegisterMC(s.Cfg, name, n, seed, m, measure.HoldTime, s.instr)
 		res.Health.Merge(rep)
-		if err != nil {
-			return nil, err
-		}
-		return montecarlo.Compact(out, rep), nil
+		return out, err
 	}
 	g, err := run(s.Golden, "fig8hold-golden", s.Cfg.Seed+83)
 	if err != nil {

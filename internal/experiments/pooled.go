@@ -71,3 +71,102 @@ func pooledDelayMC(cfg Config, name string, n int, seed int64,
 	}
 	return montecarlo.Compact(out, rep), rep, nil
 }
+
+// registerSearch is one register timing search (measure.SetupTime or
+// measure.HoldTime).
+type registerSearch func(*circuits.DFF, measure.SetupOpts) (float64, error)
+
+// pooledRegisterMC runs an n-sample register-timing Monte Carlo (one full
+// setup or hold bisection per sample) over per-worker pooled registers,
+// with the same policy, lifecycle and instrumentation handling as
+// pooledDelayMC. The returned slice holds only the successful samples.
+func pooledRegisterMC(cfg Config, name string, n int, seed int64,
+	m core.StatModel, search registerSearch, mi *MCInstr) ([]float64, montecarlo.RunReport, error) {
+	opts := measure.DefaultSetupOpts()
+	out, rep, err := runPooledMC[obsState[*circuits.PooledDFF], float64](cfg, name, n, seed,
+		newObsState(mi, func() (*circuits.PooledDFF, error) {
+			return circuits.NewPooledDFF(cfg.Vdd, circuits.DefaultDFFSizing(), m.Nominal(), cfg.FastMC), nil
+		}),
+		func(st obsState[*circuits.PooledDFF], idx int, rng *rand.Rand) (float64, error) {
+			ff, so := st.B, st.So
+			sc := so.Scope()
+			ff.Ckt.SetObsSample(idx)
+			sc.Enter(obs.PhaseRestamp)
+			ff.Restat(so.Factory(m.Statistical(rng)))
+			sc.Exit()
+			o := opts
+			o.Res, o.Fast = &ff.Res, ff.Fast
+			// The bisection's transient solves record themselves inside
+			// the measure span, pausing it for the solver's share.
+			sc.Enter(obs.PhaseMeasure)
+			t, err := search(ff.DFF, o)
+			sc.Exit()
+			so.End(ff.Ckt.Stats())
+			return t, err
+		})
+	if err != nil {
+		return nil, rep, err
+	}
+	return montecarlo.Compact(out, rep), rep, nil
+}
+
+// pooledSNMMC runs an n-sample SRAM static-noise-margin Monte Carlo over
+// per-worker pooled cells. Every sample extracts the HOLD SNM; with
+// withRead it first extracts the READ SNM, in the draw and sweep order of
+// the unpooled snmSample. The re-stamp and SNM extraction are spanned
+// while the butterfly DC sweeps record themselves as solver time. Only
+// successful samples are returned; read is nil without withRead.
+func pooledSNMMC(cfg Config, name string, n int, seed int64,
+	m core.StatModel, withRead bool, mi *MCInstr) (read, hold []float64, rep montecarlo.RunReport, err error) {
+	pairs, rep, err := runPooledMC[obsState[*circuits.PooledSRAM], [2]float64](cfg, name, n, seed,
+		newObsState(mi, func() (*circuits.PooledSRAM, error) {
+			return circuits.NewPooledSRAM(cfg.Vdd, circuits.DefaultSRAMSizing(),
+				m.Nominal(), butterflyPoints, cfg.FastMC), nil
+		}),
+		func(st obsState[*circuits.PooledSRAM], idx int, rng *rand.Rand) ([2]float64, error) {
+			cell, so := st.B, st.So
+			sc := so.Scope()
+			cell.SetObsSample(idx)
+			sc.Enter(obs.PhaseRestamp)
+			cell.Restat(so.Factory(m.Statistical(rng)))
+			sc.Exit()
+			var p [2]float64
+			var err error
+			if withRead {
+				p[0], err = pooledSNM(cell, true, sc)
+			}
+			if err == nil {
+				p[1], err = pooledSNM(cell, false, sc)
+			}
+			so.End(cell.Stats())
+			return p, err
+		})
+	if err != nil {
+		return nil, nil, rep, err
+	}
+	pairs = montecarlo.Compact(pairs, rep)
+	if withRead {
+		read = make([]float64, len(pairs))
+	}
+	hold = make([]float64, len(pairs))
+	for i, p := range pairs {
+		if withRead {
+			read[i] = p[0]
+		}
+		hold[i] = p[1]
+	}
+	return read, hold, rep, nil
+}
+
+// pooledSNM sweeps the cell's READ or HOLD butterfly and extracts its SNM
+// inside a measure span.
+func pooledSNM(cell *circuits.PooledSRAM, read bool, sc *obs.Scope) (float64, error) {
+	l, r, err := cell.Butterfly(read)
+	if err != nil {
+		return 0, err
+	}
+	sc.Enter(obs.PhaseMeasure)
+	res, err := measure.SNM(l, r)
+	sc.Exit()
+	return res.SNM, err
+}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -87,22 +86,15 @@ func TestPooledSNMBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
-		got, _, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, workers, montecarlo.RunOpts{},
-			func(int) (*circuits.PooledSRAM, error) {
-				return circuits.NewPooledSRAM(poolTestVdd, circuits.DefaultSRAMSizing(),
-					m.Nominal(), butterflyPoints, false), nil
-			},
-			func(cell *circuits.PooledSRAM, idx int, rng *rand.Rand) ([2]float64, error) {
-				r, h, err := pooledSNMSample(cell, m, rng)
-				return [2]float64{r, h}, err
-			})
+		cfg := Config{Workers: workers, Vdd: poolTestVdd}
+		read, hold, _, err := pooledSNMMC(cfg, "snm-test", n, seed, m, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
-			if got[i] != want[i] {
+			if got := [2]float64{read[i], hold[i]}; got != want[i] {
 				t.Fatalf("workers=%d: pooled SNM sample %d = %v, unpooled %v",
-					workers, i, got[i], want[i])
+					workers, i, got, want[i])
 			}
 		}
 	}
@@ -120,7 +112,7 @@ func TestPooledHoldTimeBitIdentical(t *testing.T) {
 	checkPooledDFFBitIdentical(t, measure.HoldTime)
 }
 
-func checkPooledDFFBitIdentical(t *testing.T, search func(*circuits.DFF, measure.SetupOpts) (float64, error)) {
+func checkPooledDFFBitIdentical(t *testing.T, search registerSearch) {
 	t.Helper()
 	m := core.DefaultStatVS()
 	const n = 8
@@ -145,19 +137,9 @@ func checkPooledDFFBitIdentical(t *testing.T, search func(*circuits.DFF, measure
 }
 
 // pooledDFFMC runs a register search over n pooled samples.
-func pooledDFFMC(m core.StatModel, n int, seed int64, workers int, fast bool,
-	search func(*circuits.DFF, measure.SetupOpts) (float64, error)) ([]float64, error) {
-	opts := measure.DefaultSetupOpts()
-	out, _, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, workers, montecarlo.RunOpts{},
-		func(int) (*circuits.PooledDFF, error) {
-			return circuits.NewPooledDFF(poolTestVdd, circuits.DefaultDFFSizing(), m.Nominal(), fast), nil
-		},
-		func(ff *circuits.PooledDFF, idx int, rng *rand.Rand) (float64, error) {
-			ff.Restat(m.Statistical(rng))
-			o := opts
-			o.Res, o.Fast = &ff.Res, ff.Fast
-			return search(ff.DFF, o)
-		})
+func pooledDFFMC(m core.StatModel, n int, seed int64, workers int, fast bool, search registerSearch) ([]float64, error) {
+	cfg := Config{Workers: workers, Vdd: poolTestVdd, FastMC: fast}
+	out, _, err := pooledRegisterMC(cfg, "dff-test", n, seed, m, search, nil)
 	return out, err
 }
 

@@ -8,8 +8,6 @@ import (
 	"vstat/internal/circuits"
 	"vstat/internal/core"
 	"vstat/internal/measure"
-	"vstat/internal/montecarlo"
-	"vstat/internal/obs"
 	"vstat/internal/stats"
 )
 
@@ -35,32 +33,9 @@ func (s *Suite) Fig8() (Fig8Result, error) {
 		res.TrialsPerSample++
 	}
 	run := func(m core.StatModel, name string, seed int64) ([]float64, error) {
-		out, rep, err := runPooledMC[obsState[*circuits.PooledDFF], float64](s.Cfg, name, n, seed,
-			newObsState(s.instr, func() (*circuits.PooledDFF, error) {
-				return circuits.NewPooledDFF(s.Cfg.Vdd, circuits.DefaultDFFSizing(), m.Nominal(), s.Cfg.FastMC), nil
-			}),
-			func(st obsState[*circuits.PooledDFF], idx int, rng *rand.Rand) (float64, error) {
-				ff, so := st.B, st.So
-				sc := so.Scope()
-				ff.Ckt.SetObsSample(idx)
-				sc.Enter(obs.PhaseRestamp)
-				ff.Restat(so.Factory(m.Statistical(rng)))
-				sc.Exit()
-				o := opts
-				o.Res, o.Fast = &ff.Res, ff.Fast
-				// The bisection's transient solves record themselves inside
-				// the measure span, pausing it for the solver's share.
-				sc.Enter(obs.PhaseMeasure)
-				ts, err := measure.SetupTime(ff.DFF, o)
-				sc.Exit()
-				so.End(ff.Ckt.Stats())
-				return ts, err
-			})
+		out, rep, err := pooledRegisterMC(s.Cfg, name, n, seed, m, measure.SetupTime, s.instr)
 		res.Health.Merge(rep)
-		if err != nil {
-			return nil, err
-		}
-		return montecarlo.Compact(out, rep), nil
+		return out, err
 	}
 	g, err := run(s.Golden, "fig8-golden", s.Cfg.Seed+81)
 	if err != nil {
@@ -130,61 +105,6 @@ func snmSample(m core.StatModel, rng *rand.Rand, vdd float64) (read, hold float6
 	return rres.SNM, hres.SNM, nil
 }
 
-// pooledSNMSample re-stamps the pooled cell and extracts both SNMs with the
-// same draw and sweep order as snmSample.
-func pooledSNMSample(cell *circuits.PooledSRAM, m core.StatModel, rng *rand.Rand) (read, hold float64, err error) {
-	cell.Restat(m.Statistical(rng))
-	rl, rr, err := cell.Butterfly(true)
-	if err != nil {
-		return 0, 0, err
-	}
-	rres, err := measure.SNM(rl, rr)
-	if err != nil {
-		return 0, 0, err
-	}
-	hl, hr, err := cell.Butterfly(false)
-	if err != nil {
-		return 0, 0, err
-	}
-	hres, err := measure.SNM(hl, hr)
-	if err != nil {
-		return 0, 0, err
-	}
-	return rres.SNM, hres.SNM, nil
-}
-
-// pooledSNMSampleObs is pooledSNMSample with phase attribution: the
-// re-stamp and SNM extraction are spanned while the butterfly DC sweeps
-// record themselves as solver time. The draw/sweep order is unchanged, so
-// sampled metrics stay bit-identical to the uninstrumented path.
-func pooledSNMSampleObs(cell *circuits.PooledSRAM, m core.StatModel, rng *rand.Rand, so *SampleObs) (read, hold float64, err error) {
-	sc := so.Scope()
-	sc.Enter(obs.PhaseRestamp)
-	cell.Restat(so.Factory(m.Statistical(rng)))
-	sc.Exit()
-	rl, rr, err := cell.Butterfly(true)
-	if err != nil {
-		return 0, 0, err
-	}
-	sc.Enter(obs.PhaseMeasure)
-	rres, err := measure.SNM(rl, rr)
-	sc.Exit()
-	if err != nil {
-		return 0, 0, err
-	}
-	hl, hr, err := cell.Butterfly(false)
-	if err != nil {
-		return 0, 0, err
-	}
-	sc.Enter(obs.PhaseMeasure)
-	hres, err := measure.SNM(hl, hr)
-	sc.Exit()
-	if err != nil {
-		return 0, 0, err
-	}
-	return rres.SNM, hres.SNM, nil
-}
-
 // Fig9 runs the SRAM SNM Monte Carlo.
 func (s *Suite) Fig9() (Fig9Result, error) {
 	n := s.Cfg.samples(2500)
@@ -203,29 +123,9 @@ func (s *Suite) Fig9() (Fig9Result, error) {
 	}
 
 	run := func(m core.StatModel, name string, seed int64) (read, hold []float64, err error) {
-		pairs, rep, err := runPooledMC[obsState[*circuits.PooledSRAM], [2]float64](s.Cfg, name, n, seed,
-			newObsState(s.instr, func() (*circuits.PooledSRAM, error) {
-				return circuits.NewPooledSRAM(s.Cfg.Vdd, circuits.DefaultSRAMSizing(),
-					m.Nominal(), butterflyPoints, s.Cfg.FastMC), nil
-			}),
-			func(st obsState[*circuits.PooledSRAM], idx int, rng *rand.Rand) ([2]float64, error) {
-				cell, so := st.B, st.So
-				cell.SetObsSample(idx)
-				r, h, err := pooledSNMSampleObs(cell, m, rng, so)
-				so.End(cell.Stats())
-				return [2]float64{r, h}, err
-			})
+		read, hold, rep, err := pooledSNMMC(s.Cfg, name, n, seed, m, true, s.instr)
 		res.Health.Merge(rep)
-		if err != nil {
-			return nil, nil, err
-		}
-		pairs = montecarlo.Compact(pairs, rep)
-		read = make([]float64, len(pairs))
-		hold = make([]float64, len(pairs))
-		for i, p := range pairs {
-			read[i], hold[i] = p[0], p[1]
-		}
-		return read, hold, nil
+		return read, hold, err
 	}
 	gr, gh, err := run(s.Golden, "fig9-golden", s.Cfg.Seed+91)
 	if err != nil {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"vstat/internal/circuits"
 	"vstat/internal/core"
 	"vstat/internal/measure"
-	"vstat/internal/spice"
 )
 
 // Table4Row is one benchmark row of paper Table IV.
@@ -21,6 +19,7 @@ type Table4Row struct {
 	VSBytes, GoldenBytes uint64 // total heap allocated during the run
 	Speedup              float64
 	MemRatio             float64
+	Health               Health // both columns' run reports, merged
 }
 
 // Table4Result is paper Table IV: Monte Carlo runtime and memory of the VS
@@ -32,36 +31,53 @@ type Table4Result struct {
 	Rows []Table4Row
 }
 
-// table4Counts are the paper's sample counts per row.
-var table4Counts = map[string]int{"NAND2": 2000, "DFF": 250, "SRAM": 2000}
-
-// Table4 times the three Monte Carlo workloads for both models,
-// single-threaded (Workers=1) so the comparison is a clean per-eval ratio.
+// Table4 times the three Monte Carlo workloads for both models. Each
+// column is one run of the pooled engine the figures use (Fig. 7's NAND2
+// delay, Fig. 8's setup search, Fig. 9's HOLD SNM), at Cfg.Workers, with
+// the same draws for both models; since both columns run the same engine
+// at the same worker count, the ratio is still a same-engine comparison.
+// The columns run one after another, so each one's allocation count is
+// its own. They never restore a checkpoint or shard journal, which would
+// make a column look fast.
 func (s *Suite) Table4() (Table4Result, error) {
 	var res Table4Result
-	type workload struct {
-		name string
-		run  func(m core.StatModel, n int, seed int64) error
-	}
-	workloads := []workload{
-		{"NAND2", s.table4NAND2},
-		{"DFF", s.table4DFF},
-		{"SRAM", s.table4SRAM},
+	cfg := s.Cfg
+	cfg.CheckpointDir, cfg.Resume, cfg.ShardJournalDir = "", false, ""
+	sz := circuits.Sizing{WP: 600e-9, WN: 300e-9, L: 40e-9}
+	workloads := []struct {
+		name  string
+		paper int // the paper's sample count
+		run   func(m core.StatModel, name string, n int, seed int64) (Health, error)
+	}{
+		{"NAND2", 2000, func(m core.StatModel, name string, n int, seed int64) (Health, error) {
+			_, rep, err := pooledDelayMC(cfg, name, n, seed, m, cfg.Vdd, pooledNand2FO3(cfg.Vdd, sz), s.instr)
+			return rep, err
+		}},
+		{"DFF", 250, func(m core.StatModel, name string, n int, seed int64) (Health, error) {
+			_, rep, err := pooledRegisterMC(cfg, name, n, seed, m, measure.SetupTime, s.instr)
+			return rep, err
+		}},
+		{"SRAM", 2000, func(m core.StatModel, name string, n int, seed int64) (Health, error) {
+			_, _, rep, err := pooledSNMMC(cfg, name, n, seed, m, false, s.instr)
+			return rep, err
+		}},
 	}
 	for wi, w := range workloads {
-		n := s.Cfg.samples(table4Counts[w.name])
+		n := cfg.samples(w.paper)
+		seed := cfg.Seed + int64(400+wi)
 		row := Table4Row{Cell: w.name, Samples: n}
+		column := func(m core.StatModel, model string) (time.Duration, uint64, error) {
+			return timed(func() error {
+				rep, err := w.run(m, "table4-"+strings.ToLower(w.name)+"-"+model, n, seed)
+				row.Health.Merge(rep)
+				return err
+			})
+		}
 		var err error
-		row.VSTime, row.VSBytes, err = timed(func() error {
-			return w.run(s.VS, n, s.Cfg.Seed+int64(400+wi))
-		})
-		if err != nil {
+		if row.VSTime, row.VSBytes, err = column(s.VS, "vs"); err != nil {
 			return res, fmt.Errorf("table4 %s VS: %w", w.name, err)
 		}
-		row.GoldenTime, row.GoldenBytes, err = timed(func() error {
-			return w.run(s.Golden, n, s.Cfg.Seed+int64(400+wi))
-		})
-		if err != nil {
+		if row.GoldenTime, row.GoldenBytes, err = column(s.Golden, "golden"); err != nil {
 			return res, fmt.Errorf("table4 %s golden: %w", w.name, err)
 		}
 		row.Speedup = float64(row.GoldenTime) / float64(row.VSTime)
@@ -85,53 +101,6 @@ func timed(fn func() error) (time.Duration, uint64, error) {
 	return dt, m1.TotalAlloc - m0.TotalAlloc, err
 }
 
-func (s *Suite) table4NAND2(m core.StatModel, n int, seed int64) error {
-	sz := circuits.Sizing{WP: 600e-9, WN: 300e-9, L: 40e-9}
-	for i := 0; i < n; i++ {
-		rng := table4RNG(seed, i)
-		b := circuits.NAND2FO(3, s.Cfg.Vdd, sz, m.Statistical(rng))
-		tr, err := b.Ckt.Transient(spice.TranOpts{Stop: gateTranStop, Step: gateTranStep})
-		if err != nil {
-			return err
-		}
-		if _, err := measure.PairDelay(tr, b.In, b.Out, s.Cfg.Vdd); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *Suite) table4DFF(m core.StatModel, n int, seed int64) error {
-	opts := measure.DefaultSetupOpts()
-	for i := 0; i < n; i++ {
-		rng := table4RNG(seed, i)
-		ff := circuits.NewDFF(s.Cfg.Vdd, circuits.DefaultDFFSizing(), m.Statistical(rng))
-		if _, err := measure.SetupTime(ff, opts); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *Suite) table4SRAM(m core.StatModel, n int, seed int64) error {
-	for i := 0; i < n; i++ {
-		rng := table4RNG(seed, i)
-		cell := circuits.NewSRAMCell(s.Cfg.Vdd, circuits.DefaultSRAMSizing(), m.Statistical(rng))
-		l, r, err := cell.Butterfly(false, butterflyPoints)
-		if err != nil {
-			return err
-		}
-		if _, err := measure.SNM(l, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func table4RNG(seed int64, idx int) *rand.Rand {
-	return rand.New(rand.NewSource(seed*1000003 + int64(idx)))
-}
-
 // String renders the runtime/memory table.
 func (r Table4Result) String() string {
 	var b strings.Builder
@@ -144,6 +113,7 @@ func (r Table4Result) String() string {
 			row.VSTime.Round(time.Millisecond), row.GoldenTime.Round(time.Millisecond),
 			row.Speedup,
 			float64(row.VSBytes)/1e6, float64(row.GoldenBytes)/1e6, row.MemRatio)
+		b.WriteString(healthLine(row.Health))
 	}
 	fmt.Fprintf(&b, "  (paper: 4.2x speedup, 8.7x memory for Verilog-A VS vs BSIM4 C code)\n")
 	return b.String()
