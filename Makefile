@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: tier1 tier2 bench bench-mc race vet obs sparse lifecycle batch shard shardcrash trace perfbench benchcheck
+.PHONY: tier1 tier2 bench bench-mc race vet obs sparse lifecycle batch shard shardcrash fuzz trace perfbench benchcheck
 
 # Tier 1: the build + vet + test gate every change must keep green
 # (ROADMAP.md).
-tier1: vet obs sparse lifecycle batch shard shardcrash trace perfbench benchcheck
+tier1: vet obs sparse lifecycle batch shard shardcrash fuzz trace perfbench benchcheck
 	$(GO) build ./... && $(GO) test ./...
 
 # Static analysis alone (also the first rung of tier1).
@@ -72,6 +72,14 @@ shardcrash:
 	$(GO) test -race -count=1 -run 'TestStreamSummary' ./internal/montecarlo/
 	$(GO) test -race -count=1 -run 'TestShardedRunJournalResume' ./internal/experiments/
 
+# Fuzz rung: ten seconds of coverage-guided inputs against the shard
+# journal's recovery (OpenJournal + Replay on arbitrary bytes after a valid
+# header), on top of the committed seed corpus in
+# internal/shard/testdata/fuzz/FuzzOpenJournal (which plain `go test` also
+# replays).
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenJournal$$' -fuzztime 10s ./internal/shard
+
 # Distributed-tracing rung: the span/flight-recorder layer under the race
 # detector (worker tracers merge into shared worst-K sets), the cross-
 # transport trace-stitching and worst-K determinism contracts, the batched
@@ -106,7 +114,7 @@ tier2: vet
 # driver (failure policies, panic recovery, report aggregation, the
 # context-aware *Ctx variants with their hang watchdog and checkpoint
 # sink), the solver rescue ladder, and the pooled experiment plumbing
-# (Table IV included: its columns run concurrent pooled workers).
+# (Table IV included: its cost ledger and its fallback figure runs).
 race:
 	$(GO) test -race ./internal/montecarlo/ ./internal/spice/ ./internal/obs/ -count=1
 	$(GO) test -race ./internal/experiments/ -run 'TestMap|TestPooled|TestFault|TestFail|TestMCRescue|TestRunPooledMC|TestHangSample|TestTable4' -count=1

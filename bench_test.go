@@ -7,8 +7,9 @@
 //
 // Table IV — the paper's runtime/memory comparison — is the pair of
 // BenchmarkTable4*VS/*Golden benchmarks for each cell, each timing one
-// pooled sample as experiments.Suite.Table4 runs it; the per-op ratios
-// are the reproduction's per-sample speedup numbers.
+// pooled sample of the figure run experiments.Suite.Table4 reads (Fig. 7's
+// 0.9 V NAND2, Fig. 8's setup search, Fig. 9's READ+HOLD SNM); the per-op
+// ratios are the reproduction's per-sample speedup numbers.
 package vstat_bench
 
 import (
@@ -278,8 +279,8 @@ func BenchmarkMCNand2FO3PooledFast(b *testing.B) { benchPooledNand2(b, core.Defa
 
 // ---- Table IV: one pooled sample of each column ----
 //
-// Suite.Table4 times each column on the pooled engine: per sample, a
-// re-stamp of the worker's template plus the row's measurement. These
+// Suite.Table4 reports what the figures' pooled runs cost: per sample, a
+// re-stamp of the worker's template plus the figure's measurement. These
 // benches time that unit, so the VS/Golden ratio of a pair is the row's
 // per-sample speedup.
 
@@ -303,12 +304,14 @@ func benchTable4SRAM(b *testing.B, m core.StatModel) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cell.Restat(m.Statistical(rng))
-		l, r, err := cell.Butterfly(false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := measure.SNM(l, r); err != nil {
-			b.Fatal(err)
+		for _, read := range []bool{true, false} {
+			l, r, err := cell.Butterfly(read)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := measure.SNM(l, r); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -269,20 +269,19 @@ type Fig7Result struct {
 // Fig7Supplies are the paper's supply points.
 var Fig7Supplies = []float64{0.9, 0.7, 0.55}
 
+// fig7Sizing is the NAND2 sizing of Fig. 7.
+var fig7Sizing = circuits.Sizing{WP: 600e-9, WN: 300e-9, L: 40e-9}
+
 // Fig7 runs the NAND2 Monte Carlo across supplies.
 func (s *Suite) Fig7() (Fig7Result, error) {
-	n := s.Cfg.samples(2500)
-	sz := circuits.Sizing{WP: 600e-9, WN: 300e-9, L: 40e-9}
-	res := Fig7Result{N: n}
+	res := Fig7Result{N: s.Cfg.fig7MC(0, "vs").n}
 	for vi, vdd := range Fig7Supplies {
-		seed := s.Cfg.Seed + int64(7000+100*vi)
-		build := pooledNand2FO3(vdd, sz)
-		g, gRep, err := pooledDelayMC(s.Cfg, fmt.Sprintf("fig7-golden-%d", vi), n, seed, s.Golden, vdd, build, s.instr)
+		g, gRep, err := s.runFig7Slice(s.Cfg, vi, "golden")
 		res.Health.Merge(gRep)
 		if err != nil {
 			return res, fmt.Errorf("fig7 golden %g V: %w", vdd, err)
 		}
-		v, vRep, err := pooledDelayMC(s.Cfg, fmt.Sprintf("fig7-vs-%d", vi), n, seed+500009, s.VS, vdd, build, s.instr)
+		v, vRep, err := s.runFig7Slice(s.Cfg, vi, "vs")
 		res.Health.Merge(vRep)
 		if err != nil {
 			return res, fmt.Errorf("fig7 vs %g V: %w", vdd, err)
@@ -300,6 +299,21 @@ func (s *Suite) Fig7() (Fig7Result, error) {
 		res.Vdds = append(res.Vdds, col)
 	}
 	return res, nil
+}
+
+// runFig7Slice runs one model's NAND2 FO3 delay Monte Carlo at Fig. 7's
+// supply slice vi under cfg.
+func (s *Suite) runFig7Slice(cfg Config, vi int, model string) ([]float64, Health, error) {
+	r, vdd := cfg.fig7MC(vi, model), Fig7Supplies[vi]
+	return pooledDelayMC(cfg, r.name, r.n, r.seed, s.model(model), vdd, pooledNand2FO3(vdd, fig7Sizing), s.instr)
+}
+
+// model returns the suite's statistical model by run-name label.
+func (s *Suite) model(name string) core.StatModel {
+	if name == "vs" {
+		return s.VS
+	}
+	return s.Golden
 }
 
 // String renders the Fig. 7 columns.

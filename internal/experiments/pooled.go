@@ -111,13 +111,12 @@ func pooledRegisterMC(cfg Config, name string, n int, seed int64,
 }
 
 // pooledSNMMC runs an n-sample SRAM static-noise-margin Monte Carlo over
-// per-worker pooled cells. Every sample extracts the HOLD SNM; with
-// withRead it first extracts the READ SNM, in the draw and sweep order of
-// the unpooled snmSample. The re-stamp and SNM extraction are spanned
-// while the butterfly DC sweeps record themselves as solver time. Only
-// successful samples are returned; read is nil without withRead.
+// per-worker pooled cells. Every sample extracts the READ and then the
+// HOLD SNM, in the draw and sweep order of the unpooled snmSample. The
+// re-stamp and SNM extraction are spanned while the butterfly DC sweeps
+// record themselves as solver time. Only successful samples are returned.
 func pooledSNMMC(cfg Config, name string, n int, seed int64,
-	m core.StatModel, withRead bool, mi *MCInstr) (read, hold []float64, rep montecarlo.RunReport, err error) {
+	m core.StatModel, mi *MCInstr) (read, hold []float64, rep montecarlo.RunReport, err error) {
 	pairs, rep, err := runPooledMC[obsState[*circuits.PooledSRAM], [2]float64](cfg, name, n, seed,
 		newObsState(mi, func() (*circuits.PooledSRAM, error) {
 			return circuits.NewPooledSRAM(cfg.Vdd, circuits.DefaultSRAMSizing(),
@@ -132,9 +131,7 @@ func pooledSNMMC(cfg Config, name string, n int, seed int64,
 			sc.Exit()
 			var p [2]float64
 			var err error
-			if withRead {
-				p[0], err = pooledSNM(cell, true, sc)
-			}
+			p[0], err = pooledSNM(cell, true, sc)
 			if err == nil {
 				p[1], err = pooledSNM(cell, false, sc)
 			}
@@ -145,15 +142,10 @@ func pooledSNMMC(cfg Config, name string, n int, seed int64,
 		return nil, nil, rep, err
 	}
 	pairs = montecarlo.Compact(pairs, rep)
-	if withRead {
-		read = make([]float64, len(pairs))
-	}
+	read = make([]float64, len(pairs))
 	hold = make([]float64, len(pairs))
 	for i, p := range pairs {
-		if withRead {
-			read[i] = p[0]
-		}
-		hold[i] = p[1]
+		read[i], hold[i] = p[0], p[1]
 	}
 	return read, hold, rep, nil
 }

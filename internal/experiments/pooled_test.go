@@ -87,7 +87,7 @@ func TestPooledSNMBitIdentical(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3} {
 		cfg := Config{Workers: workers, Vdd: poolTestVdd}
-		read, hold, _, err := pooledSNMMC(cfg, "snm-test", n, seed, m, true, nil)
+		read, hold, _, err := pooledSNMMC(cfg, "snm-test", n, seed, m, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

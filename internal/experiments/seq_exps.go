@@ -24,30 +24,35 @@ type Fig8Result struct {
 
 // Fig8 runs the setup-time Monte Carlo.
 func (s *Suite) Fig8() (Fig8Result, error) {
-	n := s.Cfg.samples(250)
 	opts := measure.DefaultSetupOpts()
-	res := Fig8Result{N: n}
+	res := Fig8Result{N: s.Cfg.fig8MC("vs").n}
 	// Bisection trials: bracket(2) + log2(range/tol).
 	res.TrialsPerSample = 2
 	for r := opts.MaxOffset * 1.25; r > opts.Tol; r /= 2 {
 		res.TrialsPerSample++
 	}
-	run := func(m core.StatModel, name string, seed int64) ([]float64, error) {
-		out, rep, err := pooledRegisterMC(s.Cfg, name, n, seed, m, measure.SetupTime, s.instr)
+	run := func(model string) ([]float64, error) {
+		out, rep, err := s.runFig8(s.Cfg, model)
 		res.Health.Merge(rep)
 		return out, err
 	}
-	g, err := run(s.Golden, "fig8-golden", s.Cfg.Seed+81)
+	g, err := run("golden")
 	if err != nil {
 		return res, fmt.Errorf("fig8 golden: %w", err)
 	}
-	v, err := run(s.VS, "fig8-vs", s.Cfg.Seed+82)
+	v, err := run("vs")
 	if err != nil {
 		return res, fmt.Errorf("fig8 vs: %w", err)
 	}
 	res.Golden = newDelayDist(g)
 	res.VS = newDelayDist(v)
 	return res, nil
+}
+
+// runFig8 runs one model's Fig. 8 setup-time Monte Carlo under cfg.
+func (s *Suite) runFig8(cfg Config, model string) ([]float64, Health, error) {
+	r := cfg.fig8MC(model)
+	return pooledRegisterMC(cfg, r.name, r.n, r.seed, s.model(model), measure.SetupTime, s.instr)
 }
 
 // String renders the setup-time summary.
@@ -107,8 +112,7 @@ func snmSample(m core.StatModel, rng *rand.Rand, vdd float64) (read, hold float6
 
 // Fig9 runs the SRAM SNM Monte Carlo.
 func (s *Suite) Fig9() (Fig9Result, error) {
-	n := s.Cfg.samples(2500)
-	res := Fig9Result{N: n}
+	res := Fig9Result{N: s.Cfg.fig9MC("vs").n}
 
 	// Nominal butterfly curves (panels a and d).
 	nomCell := circuits.NewSRAMCell(s.Cfg.Vdd, circuits.DefaultSRAMSizing(), s.VS.Nominal())
@@ -122,16 +126,16 @@ func (s *Suite) Fig9() (Fig9Result, error) {
 		return res, err
 	}
 
-	run := func(m core.StatModel, name string, seed int64) (read, hold []float64, err error) {
-		read, hold, rep, err := pooledSNMMC(s.Cfg, name, n, seed, m, true, s.instr)
+	run := func(model string) (read, hold []float64, err error) {
+		read, hold, rep, err := s.runFig9(s.Cfg, model)
 		res.Health.Merge(rep)
 		return read, hold, err
 	}
-	gr, gh, err := run(s.Golden, "fig9-golden", s.Cfg.Seed+91)
+	gr, gh, err := run("golden")
 	if err != nil {
 		return res, fmt.Errorf("fig9 golden: %w", err)
 	}
-	vr, vh, err := run(s.VS, "fig9-vs", s.Cfg.Seed+92)
+	vr, vh, err := run("vs")
 	if err != nil {
 		return res, fmt.Errorf("fig9 vs: %w", err)
 	}
@@ -143,6 +147,12 @@ func (s *Suite) Fig9() (Fig9Result, error) {
 	res.VSHoldQQNL = stats.QQNonlinearity(vh)
 	res.GoldenHoldQQNL = stats.QQNonlinearity(gh)
 	return res, nil
+}
+
+// runFig9 runs one model's Fig. 9 READ and HOLD SNM Monte Carlo under cfg.
+func (s *Suite) runFig9(cfg Config, model string) (read, hold []float64, rep Health, err error) {
+	r := cfg.fig9MC(model)
+	return pooledSNMMC(cfg, r.name, r.n, r.seed, s.model(model), s.instr)
 }
 
 // String renders the SNM summary.

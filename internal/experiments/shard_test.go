@@ -154,3 +154,48 @@ func TestShardedRunRejectsCheckpoint(t *testing.T) {
 		t.Fatalf("sharded+checkpointed run not rejected: %v", err)
 	}
 }
+
+// TestShardedRunDefaultWorkersUsesEndpoints: with Workers and
+// ShardEndpoints both left at 0, a sharded run dispatches to GOMAXPROCS
+// loopback endpoints — none of its shards falls back to the coordinator's
+// single local loop — and still matches the unsharded run bit for bit.
+func TestShardedRunDefaultWorkersUsesEndpoints(t *testing.T) {
+	m := core.DefaultStatVS()
+	const n = 24
+	const seed = int64(777)
+	ref, refRep, err := runPooledMC[*circuits.PooledGate, float64](
+		Config{Workers: 1, Policy: montecarlo.SkipUpTo(1.0)},
+		"shard-ref", n, seed, invBench(m), invDelay(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cfg := Config{
+		Policy:       montecarlo.SkipUpTo(1.0),
+		ShardSize:    7,
+		shardMetrics: shard.NewMetrics(reg),
+	}
+	got, gotRep, err := runPooledMC[*circuits.PooledGate, float64](
+		cfg, "shard-default-workers", n, seed, invBench(m), invDelay(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(ref) {
+		t.Fatalf("run produced %d samples, reference %d", len(got), len(ref))
+	}
+	for i := range ref {
+		if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+			t.Fatalf("sample %d: %.17g, reference %.17g", i, got[i], ref[i])
+		}
+	}
+	if gotRep.Attempted != refRep.Attempted || gotRep.Failed != refRep.Failed {
+		t.Fatalf("report %s, reference %s", gotRep.String(), refRep.String())
+	}
+	snap := reg.Snapshot()
+	if fb := snap.FindCounter("shard_local_fallback_total"); fb != 0 {
+		t.Fatalf("%d shard attempts fell back to the local loop, want 0", fb)
+	}
+	if c := snap.FindCounter("shard_committed_total"); c != (n+6)/7 {
+		t.Fatalf("%d shards committed, want %d", c, (n+6)/7)
+	}
+}

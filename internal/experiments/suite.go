@@ -122,6 +122,9 @@ type Config struct {
 	// shardMetrics is the shard-coordinator counter bundle, planted by
 	// NewSuite next to instr when observability is on.
 	shardMetrics *shard.Metrics
+	// ledger records what each circuit-MC run cost, planted by NewSuite
+	// so Table IV can read the figures' runs instead of repeating them.
+	ledger *costLedger
 }
 
 // ctx returns the run context (Background when unset).
@@ -170,21 +173,38 @@ func openCkpt[T any](cfg Config, name string, n int) (*montecarlo.Checkpoint[T],
 }
 
 // runPooledMC wraps montecarlo.MapPooledReportCtx with cfg's context,
-// budget, watchdog, and (when configured) the named checkpoint. With a
+// budget, watchdog, and (when configured) the named checkpoint, or routes
+// the run through the shard coordinator when cfg.ShardSize > 0. With a
 // checkpoint and a fully completed run, the returned slice and report are
 // the checkpoint's overlay of restored plus fresh samples — the full-run
 // view, bit-identical whether or not the campaign was interrupted and
-// resumed in between.
+// resumed in between. A successful run's cost goes into cfg's ledger
+// under name.
 func runPooledMC[S, T any](cfg Config, name string, n int, seed int64,
 	newState func(worker int) (S, error),
 	fn func(st S, idx int, rng *rand.Rand) (T, error)) ([]T, montecarlo.RunReport, error) {
+	record := cfg.ledger.meter()
+	run := runLocalMC[S, T]
 	if cfg.ShardSize > 0 {
-		return runShardedMC(cfg, name, n, seed, newState, fn)
+		run = runShardedMC[S, T]
 	}
+	out, rep, restored, err := run(cfg, name, n, seed, newState, fn)
+	if err == nil {
+		record(name, runCost{N: n, Seed: seed, Hash: cfg.configHash(),
+			Workers: cfg.mcWorkers(), Report: rep, Restored: restored})
+	}
+	return out, rep, err
+}
+
+// runLocalMC is runPooledMC's in-process path; restored reports whether
+// the checkpoint supplied any sample.
+func runLocalMC[S, T any](cfg Config, name string, n int, seed int64,
+	newState func(worker int) (S, error),
+	fn func(st S, idx int, rng *rand.Rand) (T, error)) (out []T, rep montecarlo.RunReport, restored bool, err error) {
 	opts := cfg.runOpts()
 	ck, err := openCkpt[T](cfg, name, n)
 	if err != nil {
-		return nil, montecarlo.RunReport{}, err
+		return nil, montecarlo.RunReport{}, false, err
 	}
 	if ck != nil {
 		opts.Checkpoint = ck
@@ -194,13 +214,14 @@ func runPooledMC[S, T any](cfg Config, name string, n int, seed int64,
 		mcSpan = cfg.TraceRec.Start(name, trace.CatMCRun, cfg.TraceParent)
 		opts.Trace = trace.NewMC(cfg.TraceRec, name, mcSpan.ID(), cfg.TraceK)
 	}
-	out, rep, err := montecarlo.MapPooledReportCtx(cfg.ctx(), n, seed, cfg.Workers, opts, newState, fn)
+	out, rep, err = montecarlo.MapPooledReportCtx(cfg.ctx(), n, seed, cfg.Workers, opts, newState, fn)
 	if mcSpan != nil {
 		opts.Trace.Finish()
 		mcSpan.End()
 	}
 	cfg.instr.RecordRunLifecycle(rep) // this run's work, before any checkpoint overlay
 	if ck != nil {
+		restored = ck.Restored() > 0
 		if ferr := ck.Flush(); ferr != nil && err == nil {
 			err = ferr
 		}
@@ -209,26 +230,24 @@ func runPooledMC[S, T any](cfg Config, name string, n int, seed int64,
 			rep = ck.Report()
 		}
 	}
-	return out, rep, err
+	return out, rep, restored, err
 }
 
 // runShardedMC routes a circuit-MC run through the internal/shard
-// coordinator: ShardEndpoints loopback workers (each running the shard's
+// coordinator: cfg.mcWorkers() loopback workers (each running the shard's
 // samples on a single-worker engine so total parallelism matches the
 // endpoint count) execute index-range shards of cfg.ShardSize samples,
 // and the merged results are bit-identical to the unsharded run — same
-// values, same failure indices and messages, same rescue totals.
+// values, same failure indices and messages, same rescue totals. restored
+// reports whether the dispatch journal supplied any shard.
 func runShardedMC[S, T any](cfg Config, name string, n int, seed int64,
 	newState func(worker int) (S, error),
-	fn func(st S, idx int, rng *rand.Rand) (T, error)) ([]T, montecarlo.RunReport, error) {
+	fn func(st S, idx int, rng *rand.Rand) (T, error)) ([]T, montecarlo.RunReport, bool, error) {
 	if cfg.CheckpointDir != "" {
-		return nil, montecarlo.RunReport{}, fmt.Errorf(
+		return nil, montecarlo.RunReport{}, false, fmt.Errorf(
 			"experiments: sharded run %q cannot also checkpoint (shards are the retry unit)", name)
 	}
-	k := cfg.ShardEndpoints
-	if k <= 0 {
-		k = cfg.Workers
-	}
+	k := cfg.mcWorkers()
 	hash := cfg.configHash()
 	exec := shard.NewExecutor(hash, 1, newState, fn)
 	var eps []shard.Endpoint[T]
@@ -264,7 +283,7 @@ func runShardedMC[S, T any](cfg Config, name string, n int, seed int64,
 	var opts shard.RunOptions[T]
 	if cfg.ShardJournalDir != "" {
 		if err := os.MkdirAll(cfg.ShardJournalDir, 0o755); err != nil {
-			return nil, montecarlo.RunReport{}, fmt.Errorf("shard journal dir: %w", err)
+			return nil, montecarlo.RunReport{}, false, fmt.Errorf("shard journal dir: %w", err)
 		}
 		path := filepath.Join(cfg.ShardJournalDir, name+".journal.json")
 		var jnl *shard.Journal[T]
@@ -275,7 +294,7 @@ func runShardedMC[S, T any](cfg Config, name string, n int, seed int64,
 			jnl, jerr = shard.CreateJournal[T](path, scfg)
 		}
 		if jerr != nil {
-			return nil, montecarlo.RunReport{}, jerr
+			return nil, montecarlo.RunReport{}, false, jerr
 		}
 		defer jnl.Close()
 		opts.Journal = jnl
@@ -283,7 +302,7 @@ func runShardedMC[S, T any](cfg Config, name string, n int, seed int64,
 	res, err := shard.RunWithOptions(cfg.ctx(), scfg, eps, exec, opts)
 	mcSpan.End()
 	cfg.instr.RecordRunLifecycle(res.Report)
-	return res.Out, res.Report, err
+	return res.Out, res.Report, res.Stats.ResumeSkipped > 0, err
 }
 
 // Health is one experiment's aggregated Monte Carlo run report; a zero
@@ -349,6 +368,7 @@ type Suite struct {
 // measurement, and the joint BPV solve.
 func NewSuite(cfg Config) (*Suite, error) {
 	s := &Suite{Cfg: cfg, Golden: core.DefaultStatGolden(), VS: core.DefaultStatVS()}
+	s.Cfg.ledger = new(costLedger)
 	if cfg.Metrics != nil && obs.Enabled() {
 		s.instr = NewMCInstr(cfg.Metrics)
 		s.instr.Sink = cfg.Trace
